@@ -5,7 +5,8 @@ classic 4th-order Runge-Kutta scheme.  The classical action along the
 trajectory is accumulated by the same integrator because the exact
 Schrodinger-picture phase needs it.  A half-step force table derived
 from a trajectory feeds both quantum engines, so all three share one
-c-number drive.
+c-number drive; the same RK4 kernel integrates the zero-IC response to
+that table, the c-number part of the Heisenberg evolution.
 """
 
 from __future__ import annotations
@@ -67,6 +68,70 @@ def _check_step(params: OscillatorParams, field: FieldModel, grid: TimeGrid):
             f"angular frequency {fastest:.3g}")
 
 
+def _rk4(params: OscillatorParams, gamma: float, grid: TimeGrid, drive: np.ndarray,
+         k: float, q: float, v: float):
+    """Classic RK4 for m qdd = -m omega0^2 q - m gamma qd + F, F = k * drive.
+
+    ``drive`` is sampled on the half-step lattice of ``grid``, so every
+    stage time has its own sample.  The action (Lagrangian of the
+    trajectory class docstring) is advanced by the same stages.  Returns
+    the sampled q, qdot and action; raises NonFiniteState on overflow.
+
+    ``k`` stays a separate factor so that each caller keeps its rounding:
+    the field trajectory scales E by charge/mass, the tabulated force F
+    by 1/mass.
+    """
+    n = grid.n_steps
+    dt = grid.dt
+    m = params.mass
+    w2 = params.omega0 * params.omega0
+    c = k / m
+    hm = 0.5 * m
+    hmw2 = hm * w2
+    mg = m * gamma
+    D = drive.tolist()
+
+    q_out = np.empty(n + 1)
+    v_out = np.empty(n + 1)
+    s_out = np.empty(n + 1)
+    s = 0.0
+    q_out[0], v_out[0], s_out[0] = q, v, s
+
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for i in range(n):
+        d0 = D[2 * i]
+        dm = D[2 * i + 1]
+        d1 = D[2 * i + 2]
+
+        a1 = -w2 * q - gamma * v + c * d0
+        s1 = hm * v * v - hmw2 * q * q + (k * d0 - mg * v) * q
+
+        qb = q + half * v
+        vb = v + half * a1
+        a2 = -w2 * qb - gamma * vb + c * dm
+        s2 = hm * vb * vb - hmw2 * qb * qb + (k * dm - mg * vb) * qb
+
+        qc = q + half * vb
+        vc = v + half * a2
+        a3 = -w2 * qc - gamma * vc + c * dm
+        s3 = hm * vc * vc - hmw2 * qc * qc + (k * dm - mg * vc) * qc
+
+        qd = q + dt * vc
+        vd = v + dt * a3
+        a4 = -w2 * qd - gamma * vd + c * d1
+        s4 = hm * vd * vd - hmw2 * qd * qd + (k * d1 - mg * vd) * qd
+
+        q = q + sixth * (v + 2.0 * (vb + vc) + vd)
+        v = v + sixth * (a1 + 2.0 * (a2 + a3) + a4)
+        s = s + sixth * (s1 + 2.0 * (s2 + s3) + s4)
+        q_out[i + 1], v_out[i + 1], s_out[i + 1] = q, v, s
+
+    if not (math.isfinite(q) and math.isfinite(v) and math.isfinite(s)):
+        raise NonFiniteState("trajectory overflowed; check drive amplitude and parameters")
+    return q_out, v_out, s_out
+
+
 def solve_trajectory(params: OscillatorParams, field: FieldModel,
                      ics: InitialConditions, grid: TimeGrid) -> ClassicalTrajectory:
     """Integrate the classical equation of motion on ``grid``.
@@ -76,58 +141,10 @@ def solve_trajectory(params: OscillatorParams, field: FieldModel,
     overflows.
     """
     _check_step(params, field, grid)
-    n = grid.n_steps
-    dt = grid.dt
-    m = params.mass
-    w2 = params.omega0 * params.omega0
-    g = float(field.gamma)
-    e = params.charge
-    c = e / m
-
-    # Drive samples at every RK4 stage time live on the half-step lattice.
-    E = evaluate_field(field, grid.half_times).tolist()
-
-    q_out = np.empty(n + 1)
-    v_out = np.empty(n + 1)
-    s_out = np.empty(n + 1)
-    q = float(ics.q0)
-    v = float(ics.v0)
-    s = 0.0
-    q_out[0], v_out[0], s_out[0] = q, v, s
-
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for i in range(n):
-        e0 = E[2 * i]
-        em = E[2 * i + 1]
-        e1 = E[2 * i + 2]
-
-        a1 = -w2 * q - g * v + c * e0
-        s1 = 0.5 * m * v * v - 0.5 * m * w2 * q * q + (e * e0 - m * g * v) * q
-
-        qb = q + half * v
-        vb = v + half * a1
-        a2 = -w2 * qb - g * vb + c * em
-        s2 = 0.5 * m * vb * vb - 0.5 * m * w2 * qb * qb + (e * em - m * g * vb) * qb
-
-        qc = q + half * vb
-        vc = v + half * a2
-        a3 = -w2 * qc - g * vc + c * em
-        s3 = 0.5 * m * vc * vc - 0.5 * m * w2 * qc * qc + (e * em - m * g * vc) * qc
-
-        qd = q + dt * vc
-        vd = v + dt * a3
-        a4 = -w2 * qd - g * vd + c * e1
-        s4 = 0.5 * m * vd * vd - 0.5 * m * w2 * qd * qd + (e * e1 - m * g * vd) * qd
-
-        q = q + sixth * (v + 2.0 * (vb + vc) + vd)
-        v = v + sixth * (a1 + 2.0 * (a2 + a3) + a4)
-        s = s + sixth * (s1 + 2.0 * (s2 + s3) + s4)
-        q_out[i + 1], v_out[i + 1], s_out[i + 1] = q, v, s
-
-    if not (math.isfinite(q) and math.isfinite(v) and math.isfinite(s)):
-        raise NonFiniteState("trajectory overflowed; check drive amplitude and parameters")
-    return ClassicalTrajectory(grid=grid, q=q_out, qdot=v_out, action=s_out,
+    q, v, s = _rk4(params, float(field.gamma), grid,
+                   evaluate_field(field, grid.half_times), params.charge,
+                   float(ics.q0), float(ics.v0))
+    return ClassicalTrajectory(grid=grid, q=q, qdot=v, action=s,
                                params=params, field=field, ics=ics)
 
 
@@ -168,9 +185,6 @@ class DriveTable:
     def midpoint_values(self) -> np.ndarray:
         return self.values[1::2]
 
-    def is_zero(self) -> bool:
-        return not np.any(self.values)
-
 
 def build_drive_table(params: OscillatorParams, field: FieldModel, grid: TimeGrid,
                       reference: ClassicalTrajectory | None = None) -> DriveTable:
@@ -197,44 +211,9 @@ def integrate_forced(params: OscillatorParams, drive: DriveTable) -> ClassicalTr
 
     This is the c-number part of the Heisenberg operator evolution; the
     homogeneous part is undamped because damping enters only through the
-    force table.
+    force table.  The action is that of the forced path.
     """
-    grid = drive.grid
-    n = grid.n_steps
-    dt = grid.dt
-    m = params.mass
-    w2 = params.omega0 * params.omega0
-    F = drive.values.tolist()
-
-    q_out = np.empty(n + 1)
-    v_out = np.empty(n + 1)
-    q = 0.0
-    v = 0.0
-    q_out[0], v_out[0] = q, v
-
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    inv_m = 1.0 / m
-    for i in range(n):
-        f0 = F[2 * i] * inv_m
-        fm = F[2 * i + 1] * inv_m
-        f1 = F[2 * i + 2] * inv_m
-
-        a1 = -w2 * q + f0
-        vb = v + half * a1
-        a2 = -w2 * (q + half * v) + fm
-        vc = v + half * a2
-        a3 = -w2 * (q + half * vb) + fm
-        vd = v + dt * a3
-        a4 = -w2 * (q + dt * vc) + f1
-
-        q = q + sixth * (v + 2.0 * (vb + vc) + vd)
-        v = v + sixth * (a1 + 2.0 * (a2 + a3) + a4)
-        q_out[i + 1], v_out[i + 1] = q, v
-
-    if not (math.isfinite(q) and math.isfinite(v)):
-        raise NonFiniteState("forced integration overflowed")
-    zeros = np.zeros(n + 1)
-    return ClassicalTrajectory(grid=grid, q=q_out, qdot=v_out, action=zeros,
+    q, v, s = _rk4(params, 0.0, drive.grid, drive.values, 1.0, 0.0, 0.0)
+    return ClassicalTrajectory(grid=drive.grid, q=q, qdot=v, action=s,
                                params=params, field=FieldModel.zero(),
                                ics=InitialConditions(0.0, 0.0))

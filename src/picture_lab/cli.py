@@ -340,7 +340,11 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
         entries = []
         out = Path(out_dir) if out_dir else Path(f"{base.scenario.name}_sweep_{axis}")
         for v in values:
-            entries.append((_apply_axis(base, axis, v), out / f"{axis}={v:g}"))
+            try:
+                entry = _apply_axis(base, axis, v)
+            except ValueError as exc:  # the scenario rejects this value
+                raise ConfigInvalid(f"sweep {axis}={v:g}: {exc}") from None
+            entries.append((entry, out / f"{axis}={v:g}"))
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -410,8 +414,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="config path or bundled name "
                                       "(free, driven, mode_sum, damped)")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker pool size (used by sweep)")
     p_run.add_argument("--quiet", action="store_true", help="suppress the summary")
 
     p_sweep = sub.add_parser("sweep", help="run a scenario across an axis")

@@ -12,7 +12,8 @@ b = sin(omega0 t)/(m omega0) and xi the zero-IC c-number response; the
 evolution is Hamiltonian and preserves canonical commutators exactly.
 
 Two routes are implemented: the closed-form coefficient triple (fast
-path) and a matrix-valued RK4 integration (brute-force oracle).
+path), whose xi comes from the classical RK4 kernel, and a
+matrix-valued integration by the same RK4 scheme (brute-force oracle).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalTrajectory, build_drive_table, integrate_forced
-from .errors import StepTooCoarse, TruncationError
+from .classical import ClassicalTrajectory, _check_step, build_drive_table, integrate_forced
+from .errors import TruncationError
 from .model import FieldModel, OscillatorParams, TimeGrid
 
 _TAIL_POPULATION_LIMIT = 1e-10
@@ -34,7 +35,6 @@ class FockOperator:
     """Dense operator matrix in the truncated number basis."""
 
     matrix: np.ndarray
-    unit: str = "dimensionless"
 
     @property
     def dim(self) -> int:
@@ -56,8 +56,8 @@ def build_ladder_operators(params: OscillatorParams, n_fock: int):
     raise_ = lower.conj().T
     sx = math.sqrt(params.hbar / (2.0 * params.mass * params.omega0))
     sp = math.sqrt(params.hbar * params.mass * params.omega0 / 2.0)
-    x_op = FockOperator(matrix=sx * (lower + raise_), unit="length")
-    p_op = FockOperator(matrix=1j * sp * (raise_ - lower), unit="momentum")
+    x_op = FockOperator(matrix=sx * (lower + raise_))
+    p_op = FockOperator(matrix=1j * sp * (raise_ - lower))
     return x_op, p_op
 
 
@@ -149,60 +149,49 @@ def _state_moments(x0: FockOperator, p0: FockOperator, state: np.ndarray):
     }
 
 
-def moment_x_series(sol: HeisenbergSolution, state: np.ndarray | None = None) -> np.ndarray:
-    """<x_H(t)> over the whole grid (closed-form path)."""
+def _closed_form(sol: HeisenbergSolution, state: np.ndarray | None, index=slice(None)):
+    """Checked state (default: ground state) and the triple's <x_H>, <x_H^2>.
+
+    The moments are taken at ``index`` of the grid (default: all of it).
+    """
     state = ground_state_vector(sol.n_fock) if state is None else state
     _check_tail(state)
     mom = _state_moments(sol.x0, sol.p0, state)
-    return sol.a * mom["x"] + sol.b * mom["p"] + sol.xi
+    a, b, xi = sol.a[index], sol.b[index], sol.xi[index]
+    x = a * mom["x"] + b * mom["p"] + xi
+    x2 = (a**2 * mom["xx"] + b**2 * mom["pp"] + a * b * mom["xp_sym"]
+          + 2.0 * xi * (a * mom["x"] + b * mom["p"]) + xi**2)
+    return state, x, x2
+
+
+def moment_x_series(sol: HeisenbergSolution, state: np.ndarray | None = None) -> np.ndarray:
+    """<x_H(t)> over the whole grid (closed-form path)."""
+    return _closed_form(sol, state)[1]
 
 
 def moment_x2_series(sol: HeisenbergSolution, state: np.ndarray | None = None) -> np.ndarray:
     """<x_H(t)^2> over the whole grid (closed-form path)."""
-    state = ground_state_vector(sol.n_fock) if state is None else state
-    _check_tail(state)
-    mom = _state_moments(sol.x0, sol.p0, state)
-    a, b, xi = sol.a, sol.b, sol.xi
-    return (a**2 * mom["xx"] + b**2 * mom["pp"] + a * b * mom["xp_sym"]
-            + 2.0 * xi * (a * mom["x"] + b * mom["p"]) + xi**2)
+    return _closed_form(sol, state)[2]
 
 
 def moment_x2(sol: HeisenbergSolution, t: float, state: np.ndarray | None = None) -> float:
     """<x_H(t)^2> in ``state`` (default: ground state) at one grid time."""
-    state = ground_state_vector(sol.n_fock) if state is None else state
-    _check_tail(state)
     i = sol.index_of(t)
+    state, _, x2 = _closed_form(sol, state, i)
     if sol.method == "matrix":
-        x_t = sol.x_matrices[sol._stored_slot(i)]
-        xv = x_t @ state
+        xv = sol.x_matrices[sol._stored_slot(i)] @ state
         return float(np.real(np.vdot(xv, xv)))
-    mom = _state_moments(sol.x0, sol.p0, state)
-    a, b, xi = sol.a[i], sol.b[i], sol.xi[i]
-    return (a**2 * mom["xx"] + b**2 * mom["pp"] + a * b * mom["xp_sym"]
-            + 2.0 * xi * (a * mom["x"] + b * mom["p"]) + xi**2)
-
-
-def ground_moment_x2(sol: HeisenbergSolution, t: float) -> float:
-    """Ground-state expectation of the squared evolved position operator."""
-    return moment_x2(sol, t)
+    return x2
 
 
 def moment_x(sol: HeisenbergSolution, t: float, state: np.ndarray | None = None) -> float:
-    state = ground_state_vector(sol.n_fock) if state is None else state
-    _check_tail(state)
+    """<x_H(t)> in ``state`` (default: ground state) at one grid time."""
     i = sol.index_of(t)
+    state, x, _ = _closed_form(sol, state, i)
     if sol.method == "matrix":
         x_t = sol.x_matrices[sol._stored_slot(i)]
         return float(np.real(np.vdot(state, x_t @ state)))
-    mom = _state_moments(sol.x0, sol.p0, state)
-    return sol.a[i] * mom["x"] + sol.b[i] * mom["p"] + sol.xi[i]
-
-
-def _check_heisenberg_step(params, field, grid):
-    fastest = max(params.omega0, field.max_angular_frequency())
-    if grid.dt > (2.0 * math.pi / fastest) / 50.0:
-        raise StepTooCoarse(f"dt={grid.dt:.3g} does not resolve the fastest "
-                            f"angular frequency {fastest:.3g} by a factor of 50")
+    return x
 
 
 def evolve_heisenberg(params: OscillatorParams, field: FieldModel, time_grid: TimeGrid,
@@ -220,7 +209,7 @@ def evolve_heisenberg(params: OscillatorParams, field: FieldModel, time_grid: Ti
     ``track_oracle`` it also records the sup over all steps of the
     elementwise deviation from the closed form.
     """
-    _check_heisenberg_step(params, field, time_grid)
+    _check_step(params, field, time_grid)
     x0, p0 = build_ladder_operators(params, n_fock)
     drive = build_drive_table(params, field, time_grid, reference_trajectory)
 

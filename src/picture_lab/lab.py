@@ -13,6 +13,7 @@ their second-moment series.  The report then answers three questions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +28,10 @@ from .schrodinger import (DEFAULT_PADDING_SIGMAS, GridWavefunction, PositionGrid
 TOL_EQUIVALENCE = 1e-5   # cross-engine: accumulated integrator + grid error
 TOL_RESIDUAL = 1e-6      # engine-level identities
 TOL_DECOMPOSITION = 1e-6
+
+
+def _positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -47,6 +52,23 @@ class Scenario:
     decay_threshold: float = 1e-3
     fock_oracle: bool = True
     oracle_steps_per_period: int = 1000
+
+    def __post_init__(self):
+        n = self.n_points
+        checks = (
+            ("record_every", self.record_every >= 1, "must be at least 1"),
+            ("tol_equivalence", _positive(self.tol_equivalence), "must be finite and > 0"),
+            ("decay_threshold", _positive(self.decay_threshold), "must be finite and > 0"),
+            ("n_points", n >= 256 and n & (n - 1) == 0,
+             "must be a power of two, at least 256"),
+            ("n_fock", self.n_fock >= 16, "must be at least 16"),
+            ("padding_sigmas", _positive(self.padding_sigmas), "must be finite and > 0"),
+            ("oracle_steps_per_period", self.oracle_steps_per_period >= 1,
+             "must be at least 1"),
+        )
+        for key, ok, rule in checks:
+            if not ok:
+                raise ValueError(f"{key} {rule}, got {getattr(self, key)!r}")
 
     @property
     def periods(self) -> float:
@@ -251,9 +273,7 @@ def _run_fock_oracle(s: Scenario, state: np.ndarray):
     msol = evolve_heisenberg(params, field, ogrid, s.n_fock, "matrix",
                              reference_trajectory=ref, store_every=store,
                              track_oracle=True)
-    closed = evolve_heisenberg(params, field, ogrid, s.n_fock, "closed_form",
-                               reference_trajectory=ref)
-    x2_closed = moment_x2_series(closed, state)
+    x2_closed = moment_x2_series(msol, state)
     moment_sup = 0.0
     for slot, step in enumerate(msol.stored_steps):
         x_t = msol.x_matrices[slot]

@@ -88,11 +88,6 @@ class GridWavefunction:
     def fidelity(self, other: "GridWavefunction") -> float:
         return abs(self.overlap(other))
 
-    def boundary_fraction(self) -> float:
-        """Edge density relative to the peak density."""
-        d = self.density()
-        return float(max(d[0], d[-1]) / d.max())
-
 
 @dataclass(frozen=True)
 class PhaseRecord:
@@ -236,10 +231,12 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     is kinetic-potential-kinetic with the drive at the half step, giving
     second-order accuracy and exact norm preservation up to roundoff.
 
-    Moments are recorded at t0, every ``record_every``-th step, and the
-    final time.  Raises GridTooNarrow if probability reaches the grid
+    Moments are recorded at t0, every ``record_every``-th step (at least
+    1), and the final time.  Raises GridTooNarrow if probability reaches the grid
     edge and StepTooCoarse if dt fails the energy-scale heuristic.
     """
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every!r}")
     drive = build_drive_table(params, field, time_grid, reference_trajectory)
     grid = psi.grid
     n = time_grid.n_steps
@@ -256,7 +253,6 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     driven = bool(np.any(force_mid))
     ix_dt = 1j * dt / hb * x  # multiply by F to get the drive phase exponent
 
-    record_every = max(1, int(record_every))
     rec_steps = [0] + [s for s in range(1, n + 1)
                        if s % record_every == 0 or s == n]
     rec_steps = sorted(set(rec_steps))

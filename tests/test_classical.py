@@ -173,12 +173,15 @@ def test_sample_counts_match_grid(natural):
 
 def test_drive_table_and_forced_integration_consistency(natural):
     # with gamma=0 the forced zero-IC integration reproduces solve_trajectory
+    # bit for bit: both run the same RK4 kernel on the same force samples
     field = pl.FieldModel.monochromatic(0.5, 0.7)
     grid = TimeGrid(0.0, 25.0, 10_000)
     drive = pl.build_drive_table(natural, field, grid)
     xi = pl.integrate_forced(natural, drive)
     direct = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), grid)
-    assert np.max(np.abs(xi.q - direct.q)) < 1e-12
+    assert np.array_equal(xi.q, direct.q)
+    assert np.array_equal(xi.qdot, direct.qdot)
+    assert np.array_equal(xi.action, direct.action)
 
 
 def test_drive_table_damped_reference(natural):

@@ -190,3 +190,43 @@ def test_sweep_parallel_jobs(tmp_path):
                      "--values", "0,0.05,0.1", "--out", str(out), "--jobs", "2"])
     assert code == 0
     assert (out / "sweep_summary.csv").exists()
+
+
+def set_key(text, section, key, value):
+    """Config text with ``key = value`` in ``section`` (replacing any prior value)."""
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    header = f"[{section}]"
+    if header not in lines:
+        lines += ["", header]
+    lines.insert(lines.index(header) + 1, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("run", "record_every", "0"),
+    ("run", "tol_equivalence", "-1"),
+    ("run", "decay_threshold", "0"),
+    ("grid", "n_points", "1000"),
+    ("grid", "padding_sigmas", "0"),
+    ("fock", "n_fock", "8"),
+    ("fock", "oracle_steps_per_period", "0"),
+])
+def test_invalid_scenario_value_rejected_before_engines(tmp_path, capsys, monkeypatch,
+                                                        section, key, value):
+    def no_engine(scenario):
+        raise AssertionError("an engine ran before validation")
+
+    monkeypatch.setattr(cli, "run_equivalence", no_engine)
+    cfg = write(tmp_path, set_key(TINY, section, key, value))
+    out = tmp_path / "o"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert cli.main(["sweep", str(cfg), "--axis", "e", "--values", "0,0.1",
+                     "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    if key in cli.SWEEP_AXES:
+        # a bad value later in the sweep stops it before the first entry runs
+        assert cli.main(["sweep", str(write(tmp_path, TINY)), "--axis", key,
+                         "--values", f"512,{value}", "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+    assert not out.exists()

@@ -94,31 +94,31 @@ def test_ground_moment_x2_values(natural):
     tg = TimeGrid(0.0, 2.0 * params.period, 2000)
     sol = pl.evolve_heisenberg(params, pl.FieldModel.zero(), tg, 64)
     for t in (0.0, tg.times[700], tg.t1):
-        assert pl.ground_moment_x2(sol, t) == pytest.approx(0.5, abs=1e-12)
+        assert pl.moment_x2(sol, t) == pytest.approx(0.5, abs=1e-12)
 
     # driven at t=pi: 0.5 + (4/3)^2, matrix path as oracle
     field = pl.FieldModel.monochromatic(1.0, 0.5)
     tg2 = TimeGrid(0.0, math.pi, 2000)
     closed = pl.evolve_heisenberg(natural, field, tg2, 64)
     expected = 0.5 + (4.0 / 3.0) ** 2
-    assert pl.ground_moment_x2(closed, math.pi) == pytest.approx(expected, abs=1e-8)
+    assert pl.moment_x2(closed, math.pi) == pytest.approx(expected, abs=1e-8)
     matrix = pl.evolve_heisenberg(natural, field, tg2, 64, method="matrix",
                                   store_every=2000)
-    assert pl.ground_moment_x2(matrix, math.pi) == pytest.approx(expected, abs=1e-8)
+    assert pl.moment_x2(matrix, math.pi) == pytest.approx(expected, abs=1e-8)
 
     # xi zero crossing reduces to the free value
-    assert pl.ground_moment_x2(closed, 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert pl.moment_x2(closed, 0.0) == pytest.approx(0.5, abs=1e-12)
     crossings = np.nonzero(np.diff(np.sign(closed.xi[1:])))[0]
     if crossings.size:
         t_cross = tg2.times[int(crossings[0]) + 1]
-        assert pl.ground_moment_x2(closed, t_cross) == pytest.approx(0.5, abs=2e-6)
+        assert pl.moment_x2(closed, t_cross) == pytest.approx(0.5, abs=2e-6)
 
 
 def test_moment_requires_grid_time(natural):
     sol = pl.evolve_heisenberg(natural, pl.FieldModel.zero(),
                                TimeGrid(0.0, 1.0, 100), 64)
     with pytest.raises(ValueError):
-        pl.ground_moment_x2(sol, 0.12345)
+        pl.moment_x2(sol, 0.12345)
 
 
 def test_moment_n_refinement_stable(natural):
