@@ -29,7 +29,8 @@ print(f"  max classical displacement     = {np.max(np.abs(report.q_c)):.4f}")
 print(f"  sup |<x^2>_S - <x^2>_H|        = {report.sup_discrepancy:.3e}")
 print(f"  sup |<x^2>_S - 0.5 - q_c^2|    = {report.decomposition_sup:.3e}")
 print(f"  Ehrenfest sup |<x>_S - q_c|    = {report.ehrenfest_sup:.3e}")
-print(f"  matrix-oracle operator sup     = {report.oracle_matrix_sup:.3e}")
+print(f"  Fock-oracle <x>/<x^2> sup      = {report.oracle_matrix_sup:.3e}"
+      f" / {report.oracle_moment_sup:.3e}")
 print(f"  pictures equivalent: {report.equivalence_pass}")
 
 # the wavepacket really is the displaced ground state: compare against

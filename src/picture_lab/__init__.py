@@ -16,8 +16,8 @@ from .errors import (ConfigInvalid, GridTooNarrow, NonFiniteState, NotDamped,
                      StepTooCoarse, TruncationError)
 from .heisenberg import (FockOperator, HeisenbergSolution, build_ladder_operators,
                          coherent_state_vector, commutator_error, evolve_heisenberg,
-                         ground_state_vector, moment_x, moment_x2, moment_x2_series,
-                         moment_x_series)
+                         fock_state_moments, ground_state_vector, moment_x, moment_x2,
+                         moment_x2_series, moment_x_series)
 from .lab import (EquivalenceReport, Scenario, flawed_identification_residual,
                   flawed_pipeline_value, free_limit_sweep, golden_scenarios,
                   observed_order, run_equivalence)
@@ -38,7 +38,7 @@ __all__ = [
     "TruncationError",
     "FockOperator", "HeisenbergSolution", "build_ladder_operators",
     "coherent_state_vector", "commutator_error", "evolve_heisenberg",
-    "ground_state_vector", "moment_x", "moment_x2",
+    "fock_state_moments", "ground_state_vector", "moment_x", "moment_x2",
     "moment_x2_series", "moment_x_series",
     "EquivalenceReport", "Scenario", "flawed_identification_residual",
     "flawed_pipeline_value", "free_limit_sweep", "golden_scenarios",

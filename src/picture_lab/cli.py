@@ -12,6 +12,9 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import contextlib
+import functools
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -254,28 +257,52 @@ def _export(config: RunConfig, report, out_dir: Path):
         write_snapshot_csv(report, out_dir / f"{name}_final_state.csv")
 
 
+def _fail(exc: Exception, scenario_name: str | None = None) -> int:
+    """Report ``exc`` as one ``error:`` line on stderr; returns exit code 1.
+
+    The package's own errors already name their scenario; any other
+    exception is prefixed with the scenario it escaped from and its type.
+    """
+    if isinstance(exc, PictureLabError) or scenario_name is None:
+        print(f"error: {exc}", file=sys.stderr)
+    else:
+        print(f"error: [scenario {scenario_name}] {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+    return 1
+
+
 def run_command(config_path, out_dir=None, verbosity=None) -> int:
     try:
-        path = resolve_config_path(config_path)
-        config = load_config(path)
-    except ConfigInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        config = load_config(resolve_config_path(config_path))
+    except Exception as exc:
+        return _fail(exc)
     if verbosity is None:
         verbosity = config.verbosity
     out = Path(out_dir) if out_dir else Path(f"{config.scenario.name}_run")
     try:
         report = run_equivalence(config.scenario)
         _export(config, report, out)
-    except PictureLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        return _fail(exc, config.scenario.name)
     if verbosity >= 1:
         for line in report.summary_lines():
             print(line)
         print(f"  artifacts -> {out}")
         print(f"verdict: {'ALL PASS' if report.all_pass else 'FAIL'}")
     return 0 if report.all_pass else 2
+
+
+def _axis_value(axis: str, raw: str):
+    """Parse one ``--values`` entry; raises ConfigInvalid naming axis and value."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigInvalid(f"sweep {axis}={raw.strip()}: not a number") from None
+    if axis in ("n_points", "n_fock"):
+        if not value.is_integer():
+            raise ConfigInvalid(f"sweep {axis}={raw.strip()}: needs an integer value")
+        return int(value)
+    return value
 
 
 def _apply_axis(config: RunConfig, axis: str, value: float) -> RunConfig:
@@ -286,8 +313,10 @@ def _apply_axis(config: RunConfig, axis: str, value: float) -> RunConfig:
         s = replace(s, field=replace(s.field, gamma=float(value)))
     elif axis == "dt":
         grid = s.time_grid
-        n = max(1, int(round((grid.t1 - grid.t0) / float(value))))
-        s = replace(s, time_grid=TimeGrid(grid.t0, grid.t1, n))
+        horizon = grid.t1 - grid.t0
+        if not (0 < value <= horizon and math.isfinite(horizon / value)):
+            raise ValueError(f"dt must be finite, > 0 and at most the horizon {horizon:g}")
+        s = replace(s, time_grid=TimeGrid(grid.t0, grid.t1, int(round(horizon / value))))
     elif axis == "n_points":
         s = replace(s, n_points=int(value))
     elif axis == "n_fock":
@@ -326,39 +355,36 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
         print("error: no sweep values", file=sys.stderr)
         return 1
     try:
-        path = resolve_config_path(config_path)
-        base = load_config(path)
-        if axis in ("n_points", "n_fock"):
-            parsed = []
-            for v in values:
-                if float(v) != int(float(v)):
-                    raise ConfigInvalid(f"axis {axis} needs integer values, got {v}")
-                parsed.append(int(float(v)))
-            values = parsed
-        else:
-            values = [float(v) for v in values]
-        entries = []
+        base = load_config(resolve_config_path(config_path))
         out = Path(out_dir) if out_dir else Path(f"{base.scenario.name}_sweep_{axis}")
-        for v in values:
+        entries, parsed = [], []
+        for raw in values:
+            v = _axis_value(axis, raw)
             try:
                 entry = _apply_axis(base, axis, v)
             except ValueError as exc:  # the scenario rejects this value
-                raise ConfigInvalid(f"sweep {axis}={v:g}: {exc}") from None
+                raise ConfigInvalid(f"sweep {axis}={raw.strip()}: {exc}") from None
             entries.append((entry, out / f"{axis}={v:g}"))
-    except ConfigInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            parsed.append(v)
+    except Exception as exc:
+        return _fail(exc)
+    values = parsed
 
     rows = []
+    name = None
     try:
-        if jobs and jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_sweep_entry, entries))
-        else:
-            rows = [_sweep_entry(entry) for entry in entries]
-    except PictureLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        with contextlib.ExitStack() as stack:
+            if jobs and jobs > 1:
+                pool = stack.enter_context(
+                    concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
+                results = [pool.submit(_sweep_entry, entry).result for entry in entries]
+            else:
+                results = [functools.partial(_sweep_entry, entry) for entry in entries]
+            for (config, _), result in zip(entries, results):
+                name = config.scenario.name
+                rows.append(result())
+    except Exception as exc:
+        return _fail(exc, name)
 
     header = ["axis", "value", "n_steps", "dt", "sup_discrepancy", "ehrenfest_sup",
               "decomposition_sup", "residual_min", "residual_max", "vacuum_term",
@@ -372,7 +398,10 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
                                 "decomposition_sup", "residual_min", "residual_max",
                                 "vacuum_term", "q_c_final", "x2_s_final")] +
                               [str(row["all_pass"]).lower()]))
-    atomic_write_text(out / "sweep_summary.csv", "\n".join(lines) + "\n")
+    try:
+        atomic_write_text(out / "sweep_summary.csv", "\n".join(lines) + "\n")
+    except OSError as exc:
+        return _fail(exc)
 
     for v, row in zip(values, rows):
         print(f"{axis}={v:g}: sup discrepancy {row['sup_discrepancy']:.3e}, "
@@ -385,7 +414,6 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
 
 def _print_dt_orders(values, rows):
     """Observed orders from endpoint Richardson differences."""
-    import math as _math
     order = sorted(range(len(values)), key=lambda i: -values[i])
     dts = [rows[i]["dt"] for i in order]
     qf = [rows[i]["q_c_final"] for i in order]
@@ -395,8 +423,8 @@ def _print_dt_orders(values, rows):
         slopes = []
         for i in range(len(diffs) - 1):
             if diffs[i] > 0 and diffs[i + 1] > 0:
-                ratio = _math.log(diffs[i] / diffs[i + 1])
-                step = _math.log(dts[i] / dts[i + 1])
+                ratio = math.log(diffs[i] / diffs[i + 1])
+                step = math.log(dts[i] / dts[i + 1])
                 slopes.append(ratio / step)
         if slopes:
             mean = sum(slopes) / len(slopes)

@@ -1,19 +1,20 @@
 """Truncated-Fock-basis Heisenberg engine.
 
-Evolves the position and momentum operators of the driven oscillator,
+Under H(t) = hbar omega0 (n + 1/2) - F(t) x, where F(t) is the same
+c-number force that drives the other engines (field drive plus damping
+back-action along a reference trajectory), the position operator
+evolves as
 
-    dX/dt = P/m,   dP/dt = -m omega0^2 X + F(t) 1,
+    x_H(t) = a(t) x + b(t) p + xi(t) 1,
 
-where F(t) is the same c-number force that drives the other engines
-(field drive plus damping back-action along a reference trajectory).
-Because the inhomogeneity is proportional to the identity, the solution
-is X(t) = a(t) X + b(t) P + xi(t) 1 with a = cos(omega0 t),
-b = sin(omega0 t)/(m omega0) and xi the zero-IC c-number response; the
-evolution is Hamiltonian and preserves canonical commutators exactly.
+with a = cos(omega0 t), b = sin(omega0 t)/(m omega0) and xi the zero-IC
+c-number response, which the classical RK4 kernel integrates.  Moments
+in any state follow from this coefficient triple.
 
-Two routes are implemented: the closed-form coefficient triple (fast
-path), whose xi comes from the classical RK4 kernel, and a
-matrix-valued integration by the same RK4 scheme (brute-force oracle).
+``fock_state_moments`` is an independent check of the triple: it
+propagates the Fock state vector itself, by its own RK4 loop in the
+interaction picture, and so exercises the ladder algebra and the
+truncation rather than the triple's formulas.
 """
 
 from __future__ import annotations
@@ -100,27 +101,23 @@ def _check_tail(state: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class HeisenbergSolution:
-    """Evolved operators, as a coefficient triple or stored matrices.
+    """Evolved position operator as the coefficient triple.
 
-    The closed form carries a(t), b(t), xi(t) with
-    x_H(t) = a x + b p + xi; the matrix method stores (X, P) pairs every
-    ``store_every`` steps.  Both carry the t=0 operators for moment
-    evaluation.
+    x_H(t) = a x + b p + xi on every grid sample; the t=0 operators are
+    carried for moment evaluation.
     """
+
+    # Not a field; benchmark spans are named after it.
+    method = "closed_form"
 
     params: OscillatorParams
     grid: TimeGrid
     n_fock: int
-    method: str
     x0: FockOperator
     p0: FockOperator
     a: np.ndarray
     b: np.ndarray
     xi: np.ndarray
-    stored_steps: tuple = ()
-    x_matrices: tuple = ()
-    p_matrices: tuple = ()
-    oracle_sup: float | None = None
 
     def index_of(self, t: float) -> int:
         """Grid index of a sample time; raises if t is off the grid."""
@@ -129,12 +126,6 @@ class HeisenbergSolution:
         if i < 0 or i > self.grid.n_steps or abs(pos - i) > 1e-8:
             raise ValueError(f"t={t!r} is not on the time grid")
         return i
-
-    def _stored_slot(self, step: int) -> int:
-        try:
-            return self.stored_steps.index(step)
-        except ValueError:
-            raise ValueError(f"step {step} was not stored (store_every too large)") from None
 
 
 def _state_moments(x0: FockOperator, p0: FockOperator, state: np.ndarray):
@@ -150,7 +141,7 @@ def _state_moments(x0: FockOperator, p0: FockOperator, state: np.ndarray):
 
 
 def _closed_form(sol: HeisenbergSolution, state: np.ndarray | None, index=slice(None)):
-    """Checked state (default: ground state) and the triple's <x_H>, <x_H^2>.
+    """The triple's <x_H>, <x_H^2> in ``state`` (default: ground state).
 
     The moments are taken at ``index`` of the grid (default: all of it).
     """
@@ -161,53 +152,37 @@ def _closed_form(sol: HeisenbergSolution, state: np.ndarray | None, index=slice(
     x = a * mom["x"] + b * mom["p"] + xi
     x2 = (a**2 * mom["xx"] + b**2 * mom["pp"] + a * b * mom["xp_sym"]
           + 2.0 * xi * (a * mom["x"] + b * mom["p"]) + xi**2)
-    return state, x, x2
+    return x, x2
 
 
 def moment_x_series(sol: HeisenbergSolution, state: np.ndarray | None = None) -> np.ndarray:
-    """<x_H(t)> over the whole grid (closed-form path)."""
-    return _closed_form(sol, state)[1]
+    """<x_H(t)> over the whole grid."""
+    return _closed_form(sol, state)[0]
 
 
 def moment_x2_series(sol: HeisenbergSolution, state: np.ndarray | None = None) -> np.ndarray:
-    """<x_H(t)^2> over the whole grid (closed-form path)."""
-    return _closed_form(sol, state)[2]
+    """<x_H(t)^2> over the whole grid."""
+    return _closed_form(sol, state)[1]
 
 
 def moment_x2(sol: HeisenbergSolution, t: float, state: np.ndarray | None = None) -> float:
     """<x_H(t)^2> in ``state`` (default: ground state) at one grid time."""
-    i = sol.index_of(t)
-    state, _, x2 = _closed_form(sol, state, i)
-    if sol.method == "matrix":
-        xv = sol.x_matrices[sol._stored_slot(i)] @ state
-        return float(np.real(np.vdot(xv, xv)))
-    return x2
+    return float(_closed_form(sol, state, sol.index_of(t))[1])
 
 
 def moment_x(sol: HeisenbergSolution, t: float, state: np.ndarray | None = None) -> float:
     """<x_H(t)> in ``state`` (default: ground state) at one grid time."""
-    i = sol.index_of(t)
-    state, x, _ = _closed_form(sol, state, i)
-    if sol.method == "matrix":
-        x_t = sol.x_matrices[sol._stored_slot(i)]
-        return float(np.real(np.vdot(state, x_t @ state)))
-    return x
+    return float(_closed_form(sol, state, sol.index_of(t))[0])
 
 
 def evolve_heisenberg(params: OscillatorParams, field: FieldModel, time_grid: TimeGrid,
-                      n_fock: int = 64, method: str = "closed_form",
-                      reference_trajectory: ClassicalTrajectory | None = None,
-                      store_every: int = 1,
-                      track_oracle: bool = False) -> HeisenbergSolution:
-    """Evolve the Heisenberg-picture position and momentum operators.
+                      n_fock: int = 64,
+                      reference_trajectory: ClassicalTrajectory | None = None
+                      ) -> HeisenbergSolution:
+    """Evolve the Heisenberg-picture position operator as its coefficient triple.
 
-    ``method="closed_form"`` returns the coefficient triple with xi
-    integrated by the shared RK4 scheme (for an undriven, undamped field
-    this is the identity evolution of the free oscillator).
-    ``method="matrix"`` integrates the full matrix ODE with the same
-    scheme, storing operators every ``store_every`` steps; with
-    ``track_oracle`` it also records the sup over all steps of the
-    elementwise deviation from the closed form.
+    xi is integrated by the shared RK4 kernel; for an undriven, undamped
+    field this is the identity evolution of the free oscillator.
     """
     _check_step(params, field, time_grid)
     x0, p0 = build_ladder_operators(params, n_fock)
@@ -218,57 +193,55 @@ def evolve_heisenberg(params: OscillatorParams, field: FieldModel, time_grid: Ti
     a = np.cos(w * rel_t)
     b = np.sin(w * rel_t) / (params.mass * w)
     xi = integrate_forced(params, drive).q
+    return HeisenbergSolution(params=params, grid=time_grid, n_fock=n_fock,
+                              x0=x0, p0=p0, a=a, b=b, xi=xi)
 
-    if method == "closed_form":
-        return HeisenbergSolution(params=params, grid=time_grid, n_fock=n_fock,
-                                  method=method, x0=x0, p0=p0, a=a, b=b, xi=xi)
-    if method != "matrix":
-        raise ValueError(f"unknown method {method!r}")
+
+def fock_state_moments(params: OscillatorParams, field: FieldModel, time_grid: TimeGrid,
+                       state: np.ndarray,
+                       reference_trajectory: ClassicalTrajectory | None = None):
+    """<x> and <x^2> on every grid sample for ``state`` evolved under H(t).
+
+    The basis has dimension len(state).  Classic RK4 integrates
+    d psi_I/dt = (i/hbar) F(t) x_I(t) psi_I in the interaction picture of
+    hbar omega0 (n + 1/2), where
+    x_I(t) = s (a e^{-i omega0 t} + a+ e^{i omega0 t}) and F is sampled
+    from the shared drive table at the half steps.  Then
+    <x> = <psi_I|x_I psi_I> and <x^2> = ||x_I psi_I||^2.  Raises
+    TruncationError as soon as the last two levels hold too much
+    population at any step.
+    """
+    _check_step(params, field, time_grid)
+    drive = build_drive_table(params, field, time_grid, reference_trajectory)
+    dim = len(state)
+    x_op, _ = build_ladder_operators(params, dim)
+    # s a above the diagonal and s a+ below it, stacked for one product
+    ladder = np.vstack((np.triu(x_op.matrix, 1), np.tril(x_op.matrix, -1)))
+    phases = np.exp(-1j * params.omega0 * (time_grid.half_times - time_grid.t0)).tolist()
+    gains = (1j / params.hbar * drive.values).tolist()
+
+    def x_times(k, vec):
+        y = ladder @ vec
+        e = phases[k]
+        return e * y[:dim] + e.conjugate() * y[dim:]
 
     n = time_grid.n_steps
     dt = time_grid.dt
     half = 0.5 * dt
     sixth = dt / 6.0
-    inv_m = 1.0 / params.mass
-    w2m = params.mass * w * w
-    F = drive.values
-    dim = n_fock
-    eye = np.eye(dim, dtype=complex)
-
-    X = x0.matrix.copy()
-    P = p0.matrix.copy()
-    store_every = max(1, int(store_every))
-    stored_steps = [0]
-    xs = [X.copy()]
-    ps = [P.copy()]
-    oracle_sup = 0.0
-
-    for i in range(n):
-        f0, fm, f1 = F[2 * i], F[2 * i + 1], F[2 * i + 2]
-
-        k1x = P * inv_m
-        k1p = -w2m * X + f0 * eye
-        k2x = (P + half * k1p) * inv_m
-        k2p = -w2m * (X + half * k1x) + fm * eye
-        k3x = (P + half * k2p) * inv_m
-        k3p = -w2m * (X + half * k2x) + fm * eye
-        k4x = (P + dt * k3p) * inv_m
-        k4p = -w2m * (X + dt * k3x) + f1 * eye
-
-        X = X + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
-        P = P + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
-
-        step = i + 1
-        if track_oracle:
-            expected = a[step] * x0.matrix + b[step] * p0.matrix + xi[step] * eye
-            oracle_sup = max(oracle_sup, float(np.max(np.abs(X - expected))))
-        if step % store_every == 0 or step == n:
-            stored_steps.append(step)
-            xs.append(X.copy())
-            ps.append(P.copy())
-
-    return HeisenbergSolution(params=params, grid=time_grid, n_fock=n_fock,
-                              method="matrix", x0=x0, p0=p0, a=a, b=b, xi=xi,
-                              stored_steps=tuple(stored_steps),
-                              x_matrices=tuple(xs), p_matrices=tuple(ps),
-                              oracle_sup=oracle_sup if track_oracle else None)
+    mean_x = np.empty(n + 1)
+    mean_x2 = np.empty(n + 1)
+    psi = np.asarray(state, dtype=complex)
+    for i in range(n + 1):
+        _check_tail(psi)
+        x_psi = x_times(2 * i, psi)
+        mean_x[i] = np.vdot(psi, x_psi).real
+        mean_x2[i] = np.vdot(x_psi, x_psi).real
+        if i == n:
+            break
+        k1 = gains[2 * i] * x_psi
+        k2 = gains[2 * i + 1] * x_times(2 * i + 1, psi + half * k1)
+        k3 = gains[2 * i + 1] * x_times(2 * i + 1, psi + half * k2)
+        k4 = gains[2 * i + 2] * x_times(2 * i + 2, psi + dt * k3)
+        psi = psi + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    return mean_x, mean_x2

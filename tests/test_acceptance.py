@@ -138,6 +138,15 @@ def test_criterion_8d_grid_refinement_stable():
             f"diff={diff:.2e} (tol 1e-10)")
 
 
+def test_criterion_8e_fock_oracle_agrees(golden_reports):
+    sups = {name: (rep.oracle_matrix_sup, rep.oracle_moment_sup)
+            for name, rep in golden_reports.items()}
+    ok = all(x < 1e-8 and x2 < 1e-8 for x, x2 in sups.values())
+    detail = " ".join(f"{k}={x:.1e}/{x2:.1e}" for k, (x, x2) in sups.items())
+    verdict("8e", "Fock state-vector <x>/<x^2> match the closed-form triple to "
+                  "1e-8 on the golden suite", ok, detail)
+
+
 DETERMINISM_CFG = """
 [field]
 kind = mode_sum

@@ -202,6 +202,16 @@ def set_key(text, section, key, value):
     return "\n".join(lines) + "\n"
 
 
+GOOD_AXIS_VALUE = {"e": "0.1", "gamma": "0.1", "dt": "0.01", "n_points": "512",
+                   "n_fock": "32"}
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("run", "record_every", "0"),
     ("run", "tol_equivalence", "-1"),
@@ -210,6 +220,16 @@ def set_key(text, section, key, value):
     ("grid", "padding_sigmas", "0"),
     ("fock", "n_fock", "8"),
     ("fock", "oracle_steps_per_period", "0"),
+    # section None: a sweep value only, no config key
+    (None, "e", "abc"),
+    (None, "gamma", "abc"),
+    (None, "dt", "abc"),
+    (None, "n_points", "abc"),
+    (None, "n_fock", "abc"),
+    (None, "dt", "0"),
+    (None, "dt", "-0.01"),
+    (None, "dt", "inf"),
+    (None, "dt", "100"),
 ])
 def test_invalid_scenario_value_rejected_before_engines(tmp_path, capsys, monkeypatch,
                                                         section, key, value):
@@ -217,16 +237,42 @@ def test_invalid_scenario_value_rejected_before_engines(tmp_path, capsys, monkey
         raise AssertionError("an engine ran before validation")
 
     monkeypatch.setattr(cli, "run_equivalence", no_engine)
-    cfg = write(tmp_path, set_key(TINY, section, key, value))
     out = tmp_path / "o"
-    assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
-    assert key in capsys.readouterr().err
-    assert cli.main(["sweep", str(cfg), "--axis", "e", "--values", "0,0.1",
-                     "--out", str(out)]) == 1
-    assert key in capsys.readouterr().err
+    if section is not None:
+        cfg = write(tmp_path, set_key(TINY, section, key, value))
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
+        assert key in one_error_line(capsys)
+        assert cli.main(["sweep", str(cfg), "--axis", "e", "--values", "0,0.1",
+                         "--out", str(out)]) == 1
+        assert key in one_error_line(capsys)
     if key in cli.SWEEP_AXES:
         # a bad value later in the sweep stops it before the first entry runs
         assert cli.main(["sweep", str(write(tmp_path, TINY)), "--axis", key,
-                         "--values", f"512,{value}", "--out", str(out)]) == 1
-        assert key in capsys.readouterr().err
+                         "--values", f"{GOOD_AXIS_VALUE[key]},{value}",
+                         "--out", str(out)]) == 1
+        assert f"{key}={value}" in one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_foreign_exception_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
+    # numpy's allocation error takes (shape, dtype), not one message;
+    # construct it without allocating anything
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy < 2
+        from numpy.core._exceptions import _ArrayMemoryError
+
+    def no_memory(*args, **kwargs):
+        raise _ArrayMemoryError((2**40,), np.dtype(complex))
+
+    monkeypatch.setattr(pl.lab, "propagate", no_memory)
+    cfg = write(tmp_path, TINY)
+    out = tmp_path / "o"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == 1
+    err = one_error_line(capsys)
+    assert "[scenario tiny]" in err and "Unable to allocate" in err
+    assert cli.main(["sweep", str(cfg), "--axis", "e", "--values", "0,0.1",
+                     "--out", str(out)]) == 1
+    err = one_error_line(capsys)
+    assert "[scenario tiny_e=0]" in err and "Unable to allocate" in err
     assert not out.exists()

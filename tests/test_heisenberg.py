@@ -38,13 +38,13 @@ def test_minimum_dimension_enforced(natural):
         pl.build_ladder_operators(natural, 8)
 
 
-def test_free_matrix_evolution_periodic(natural):
+def test_free_fock_state_mean_oscillates():
     params = pl.OscillatorParams(charge=0.0)
     tg = TimeGrid(0.0, params.period, 1500)
-    sol = pl.evolve_heisenberg(params, pl.FieldModel.zero(), tg, 64,
-                               method="matrix", store_every=1500)
-    x0, _ = pl.build_ladder_operators(params, 64)
-    assert np.max(np.abs(sol.x_matrices[-1] - x0.matrix)) < 1e-8
+    q0 = 1.0
+    state = pl.coherent_state_vector(params, 64, q0)
+    mean_x, _ = pl.fock_state_moments(params, pl.FieldModel.zero(), tg, state)
+    assert np.max(np.abs(mean_x - q0 * np.cos(tg.times))) < 1e-8
 
 
 def test_driven_xi_matches_classical_oracle(natural):
@@ -56,36 +56,23 @@ def test_driven_xi_matches_classical_oracle(natural):
     assert sol.xi[-1] == pytest.approx(4.0 / 3.0, abs=1e-9)
 
 
-def test_matrix_path_agrees_with_closed_form(natural):
+def test_fock_state_oracle_agrees_with_closed_form(natural):
     field = pl.FieldModel.monochromatic(1.0, 0.5)
-    tg = TimeGrid(0.0, 5.0 * natural.period, 5000)
-    sol = pl.evolve_heisenberg(natural, field, tg, 64, method="matrix",
-                               store_every=500, track_oracle=True)
-    assert sol.oracle_sup < 1e-8
-
-
-def test_commutator_preserved_along_evolution(natural):
-    field = pl.FieldModel.monochromatic(1.0, 0.5)
-    tg = TimeGrid(0.0, 2.0 * natural.period, 2500)
-    sol = pl.evolve_heisenberg(natural, field, tg, 64, method="matrix",
-                               store_every=500)
-    n = sol.n_fock
-    eye = np.eye(n)
-    for x_t, p_t in zip(sol.x_matrices, sol.p_matrices):
-        comm = x_t @ p_t - p_t @ x_t - 1j * natural.hbar * eye
-        assert np.max(np.abs(comm[: n - 2, : n - 2])) < 1e-9
+    tg = TimeGrid(0.0, 5.0 * natural.period, 10_000)
+    sol = pl.evolve_heisenberg(natural, field, tg, 64)
+    mean_x, mean_x2 = pl.fock_state_moments(natural, field, tg, pl.ground_state_vector(64))
+    assert np.max(np.abs(mean_x - pl.moment_x_series(sol))) < 1e-8
+    assert np.max(np.abs(mean_x2 - pl.moment_x2_series(sol))) < 1e-8
 
 
 def test_ground_mean_follows_zero_ic_trajectory(natural):
-    # the operator mean and the classical zero-IC solution coincide
+    # the Fock-state mean and the classical zero-IC solution coincide
     field = pl.FieldModel.mode_sum([0.4, 0.25], [0.52, 1.77], seed=5)
     tg = TimeGrid(0.0, 3.0 * natural.period, 3000)
-    sol = pl.evolve_heisenberg(natural, field, tg, 64, method="matrix",
-                               store_every=300)
+    mean_x, _ = pl.fock_state_moments(natural, field, tg, pl.ground_state_vector(64))
     traj = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
-    for slot, step in enumerate(sol.stored_steps):
-        t = tg.times[step]
-        assert pl.moment_x(sol, t) == pytest.approx(traj.q[step], abs=1e-8)
+    for step in range(0, tg.n_steps + 1, 300):
+        assert mean_x[step] == pytest.approx(traj.q[step], abs=1e-8)
 
 
 def test_ground_moment_x2_values(natural):
@@ -96,15 +83,14 @@ def test_ground_moment_x2_values(natural):
     for t in (0.0, tg.times[700], tg.t1):
         assert pl.moment_x2(sol, t) == pytest.approx(0.5, abs=1e-12)
 
-    # driven at t=pi: 0.5 + (4/3)^2, matrix path as oracle
+    # driven at t=pi: 0.5 + (4/3)^2, Fock state vector as oracle
     field = pl.FieldModel.monochromatic(1.0, 0.5)
     tg2 = TimeGrid(0.0, math.pi, 2000)
     closed = pl.evolve_heisenberg(natural, field, tg2, 64)
     expected = 0.5 + (4.0 / 3.0) ** 2
     assert pl.moment_x2(closed, math.pi) == pytest.approx(expected, abs=1e-8)
-    matrix = pl.evolve_heisenberg(natural, field, tg2, 64, method="matrix",
-                                  store_every=2000)
-    assert pl.moment_x2(matrix, math.pi) == pytest.approx(expected, abs=1e-8)
+    _, fock_x2 = pl.fock_state_moments(natural, field, tg2, pl.ground_state_vector(64))
+    assert fock_x2[-1] == pytest.approx(expected, abs=1e-8)
 
     # xi zero crossing reduces to the free value
     assert pl.moment_x2(closed, 0.0) == pytest.approx(0.5, abs=1e-12)
@@ -151,6 +137,25 @@ def test_step_too_coarse(natural):
     field = pl.FieldModel.monochromatic(1.0, 30.0)
     with pytest.raises(pl.StepTooCoarse):
         pl.evolve_heisenberg(natural, field, TimeGrid(0.0, 10.0, 100), 64)
+    with pytest.raises(pl.StepTooCoarse):
+        pl.fock_state_moments(natural, field, TimeGrid(0.0, 10.0, 100),
+                              pl.ground_state_vector(64))
+
+
+def test_truncation_guard_fires_along_the_path(natural):
+    # the ground state fits n_fock=16, but the drive displaces it to
+    # |q| ~ 8/3 after one period, where the last two levels fill up
+    field = pl.FieldModel.monochromatic(1.0, 0.5)
+    tg = TimeGrid(0.0, natural.period, 4000)
+    early = TimeGrid(0.0, 0.5, 200)
+    pl.fock_state_moments(natural, field, early, pl.ground_state_vector(16))
+    with pytest.raises(pl.TruncationError):
+        pl.fock_state_moments(natural, field, tg, pl.ground_state_vector(16))
+    scenario = pl.Scenario(name="leaky", params=natural, field=field,
+                           ics=InitialConditions(0.0, 0.0), time_grid=tg,
+                           record_every=20, n_fock=16)
+    with pytest.raises(pl.TruncationError):
+        pl.run_equivalence(scenario)
 
 
 def test_damped_reference_consistency(natural):
