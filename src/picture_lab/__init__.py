@@ -23,7 +23,7 @@ from .lab import (EquivalenceReport, Scenario, flawed_identification_residual,
                   observed_order, run_equivalence)
 from .model import (FieldModel, OscillatorParams, TimeGrid, evaluate_field,
                     ground_state_width)
-from .schrodinger import (GridWavefunction, PhaseRecord, PositionGrid,
+from .schrodinger import (SPLITTINGS, GridWavefunction, PhaseRecord, PositionGrid,
                           PropagationRecord, decompose_x2, displaced_state,
                           exact_state, expectation_x, expectation_x2, ground_state,
                           phase_history, phase_record, propagate)
@@ -45,7 +45,7 @@ __all__ = [
     "observed_order", "run_equivalence",
     "FieldModel", "OscillatorParams", "TimeGrid", "evaluate_field",
     "ground_state_width",
-    "GridWavefunction", "PhaseRecord", "PositionGrid", "PropagationRecord",
+    "SPLITTINGS", "GridWavefunction", "PhaseRecord", "PositionGrid", "PropagationRecord",
     "decompose_x2", "displaced_state", "exact_state", "expectation_x",
     "expectation_x2", "ground_state", "phase_history", "phase_record", "propagate",
 ]

@@ -60,6 +60,7 @@ CONFIG_SCHEMA = {
         "t1": ("float", None),
         "periods": ("float", None),
         "n_steps": ("int", None),
+        "splitting": ("str", "strang"),
     },
     "grid": {
         "n_points": ("int", 2048),
@@ -216,6 +217,7 @@ def load_config(path) -> RunConfig:
             n_fock=cfg["fock"]["n_fock"],
             fock_oracle=cfg["fock"]["oracle"],
             oracle_steps_per_period=cfg["fock"]["oracle_steps_per_period"],
+            splitting=tsec["splitting"],
             record_every=rsec["record_every"],
             match_quantum_ics=rsec["match_quantum_ics"],
             tol_equivalence=rsec["tol_equivalence"],

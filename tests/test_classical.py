@@ -197,3 +197,35 @@ def test_drive_table_damped_reference(natural):
         pl.build_drive_table(natural, field, grid,
                              reference=pl.solve_trajectory(
                                  natural, field, InitialConditions(1.0, 0.0), grid))
+
+
+def damped_closed_form_velocity(t, gamma):
+    """Time derivative of ``damped_closed_form``."""
+    wt = math.sqrt(1.0 - gamma**2 / 4.0)
+    decay = np.exp(-0.5 * gamma * t)
+    return -(1.0 + gamma**2 / (4.0 * wt**2)) * wt * decay * np.sin(wt * t)
+
+
+def test_drive_table_stage_values(natural):
+    # lattice offsets read the table; others interpolate the reference
+    # velocity to O(dt^4) between its samples
+    gamma = 0.15
+    field = pl.FieldModel.zero(gamma=gamma)
+    grid = TimeGrid(0.0, 10.0, 2000)
+    ref = pl.solve_trajectory(natural, field, InitialConditions(1.0, 0.0),
+                              grid.refined(2))
+    drive = pl.build_drive_table(natural, field, grid, reference=ref)
+    offsets = (0.0, 0.5, 0.3243964040201711, 0.6756035959798289)
+    stages = drive.stage_values(offsets)
+    assert stages.shape == (grid.n_steps, 4)
+    assert np.array_equal(stages[:, 0], drive.values[:-1:2])
+    assert np.array_equal(stages[:, 1], drive.values[1::2])
+    t = grid.times[:-1, None] + grid.dt * np.asarray(offsets[2:])
+    exact = -natural.mass * gamma * damped_closed_form_velocity(t, gamma)
+    assert np.max(np.abs(stages[:, 2:] - exact)) < 1e-12
+    # with gamma = 0 the stage values are e E(t) in closed form
+    mono = pl.FieldModel.monochromatic(0.5, 0.7)
+    drive = pl.build_drive_table(natural, mono, grid)
+    t = grid.times[:-1] + 0.3 * grid.dt
+    assert np.allclose(drive.stage_values((0.3,))[:, 0],
+                       natural.charge * 0.5 * np.cos(0.7 * t), rtol=0, atol=1e-15)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +140,18 @@ def test_bundled_configs_parse_to_golden_scenarios():
         assert config.scenario == golden[name], name
 
 
+def test_readme_schema_block_lists_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Config schema", 1)[1].split("```")[1]
+    parts = re.split(r"^\[(\w+)\]", block, flags=re.M)[1:]
+    rows = dict(zip(parts[::2], parts[1::2]))
+    assert set(rows) == set(cli.CONFIG_SCHEMA)
+    for section, keys in cli.CONFIG_SCHEMA.items():
+        words = set(re.findall(r"\w+", rows[section]))
+        missing = [k for k in keys if k not in words]
+        assert not missing, f"[{section}] {missing} missing from the README schema"
+
+
 def test_sweep_empty_values(tmp_path, capsys):
     cfg = write(tmp_path, TINY)
     assert cli.main(["sweep", str(cfg), "--axis", "e", "--values", ","]) == 1
@@ -220,6 +234,7 @@ def one_error_line(capsys):
     ("grid", "padding_sigmas", "0"),
     ("fock", "n_fock", "8"),
     ("fock", "oracle_steps_per_period", "0"),
+    ("time", "splitting", "rk2"),
     # section None: a sweep value only, no config key
     (None, "e", "abc"),
     (None, "gamma", "abc"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,19 @@ def test_damped_scenario_recovers_free_value():
     assert report.equivalence_pass
     # the moment really started away from the free value
     assert report.x2_s[0] == pytest.approx(1.5, abs=1e-9)
+
+
+def test_damped_yoshida_run_agrees_with_heisenberg_and_classical():
+    # the damping force at Yoshida's off-lattice stage times comes from
+    # Hermite interpolation of the reference velocity
+    golden = pl.golden_scenarios(fock_oracle=False)["damped"]
+    params = golden.params
+    s = replace(golden, name="damped-yoshida", splitting="yoshida4",
+                time_grid=TimeGrid(0.0, 2.0 * params.period, 8000), record_every=20)
+    report = pl.run_equivalence(s)
+    assert report.equivalence_pass
+    assert report.sup_discrepancy < 1e-5
+    assert report.ehrenfest_sup < 1e-5
 
 
 def test_mismatched_ics_break_identification_but_not_equivalence():

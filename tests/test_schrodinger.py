@@ -219,6 +219,47 @@ def test_propagate_detects_density_at_edge(free_params):
                      TimeGrid(0.0, free_params.period, 4000), record_every=40)
 
 
+@pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
+def test_propagate_detects_edge_contact_between_records(free_params, splitting):
+    # records only at the ends: near its turning point at x = 1.6 the packet
+    # puts ~4e-9 of its peak density on the edge cells, and it is back in
+    # the middle, clear of the edge, when the final record is taken
+    narrow = pl.PositionGrid(half_width=6.0, n_points=512)
+    psi = pl.displaced_state(free_params, narrow, 0.0, velocity=1.6)
+    with pytest.raises(pl.GridTooNarrow, match="at step"):
+        pl.propagate(psi, free_params, pl.FieldModel.zero(),
+                     TimeGrid(0.0, free_params.period, 4000), record_every=4000,
+                     splitting=splitting)
+
+
+def test_yoshida_weights_satisfy_order_conditions():
+    weights = pl.SPLITTINGS["yoshida4"]
+    assert weights == weights[::-1]
+    assert sum(weights) == pytest.approx(1.0, abs=1e-15)
+    assert sum(w**3 for w in weights) == pytest.approx(0.0, abs=1e-14)
+    assert pl.SPLITTINGS["strang"] == (1.0,)
+
+
+def test_yoshida_guard_applies_to_longest_sub_step(natural):
+    # 2500 steps over one period: dt * scale = 0.082 passes for Strang, but
+    # Yoshida's middle sub-step is 1.70 dt long
+    field = pl.FieldModel.monochromatic(1.0, 0.5)
+    tg = TimeGrid(0.0, natural.period, 2500)
+    pgrid = pl.PositionGrid.for_state(natural, 4.0 / 3.0 * 2.0)
+    psi = pl.ground_state(natural, pgrid)
+    with pytest.raises(pl.StepTooCoarse, match="sub-step"):
+        pl.propagate(psi, natural, field, tg, record_every=2500, splitting="yoshida4")
+    rec = pl.propagate(psi, natural, field, tg, record_every=2500, splitting="strang")
+    assert rec.max_norm_error() < 1e-10
+
+
+def test_propagate_rejects_unknown_splitting(natural):
+    psi = pl.ground_state(natural, pl.PositionGrid.for_state(natural, 0.0))
+    with pytest.raises(ValueError, match="splitting"):
+        pl.propagate(psi, natural, pl.FieldModel.zero(), TimeGrid(0.0, 1.0, 1000),
+                     splitting="rk2")
+
+
 def test_record_times_include_endpoints(natural):
     tg = TimeGrid(0.0, 1.0, 1000)
     pgrid = pl.PositionGrid.for_state(natural, 0.0)
