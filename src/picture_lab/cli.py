@@ -356,6 +356,9 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
     if not values:
         print("error: no sweep values", file=sys.stderr)
         return 1
+    if jobs < 1:
+        print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
+        return 1
     try:
         base = load_config(resolve_config_path(config_path))
         out = Path(out_dir) if out_dir else Path(f"{base.scenario.name}_sweep_{axis}")
@@ -376,9 +379,12 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
     name = None
     try:
         with contextlib.ExitStack() as stack:
-            if jobs and jobs > 1:
+            # the pool starts all its workers at the first submit: never
+            # more than there are entries
+            workers = min(jobs, len(entries))
+            if workers > 1:
                 pool = stack.enter_context(
-                    concurrent.futures.ProcessPoolExecutor(max_workers=jobs))
+                    concurrent.futures.ProcessPoolExecutor(max_workers=workers))
                 results = [pool.submit(_sweep_entry, entry).result for entry in entries]
             else:
                 results = [functools.partial(_sweep_entry, entry) for entry in entries]

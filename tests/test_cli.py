@@ -291,3 +291,57 @@ def test_foreign_exception_exits_one_without_traceback(tmp_path, capsys, monkeyp
     err = one_error_line(capsys)
     assert "[scenario tiny_e=0]" in err and "Unable to allocate" in err
     assert not out.exists()
+
+
+@pytest.fixture()
+def pools(monkeypatch):
+    """Replace ProcessPoolExecutor by a fake that runs inline; lists max_workers."""
+    created = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = cli.concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return created
+
+
+@pytest.mark.parametrize("jobs,workers", [(1, []), (2, [2]), (3, [3]), (500, [3])])
+def test_sweep_jobs_capped_at_entry_count(tmp_path, monkeypatch, pools, jobs, workers):
+    ran = []
+
+    def fake_entry(entry):
+        ran.append(entry[0].scenario.name)
+        row = {key: 0.0 for key in ("sup_discrepancy", "ehrenfest_sup",
+                                    "decomposition_sup", "residual_min",
+                                    "residual_max", "vacuum_term", "q_c_final",
+                                    "x2_s_final", "dt")}
+        return dict(row, name=ran[-1], n_steps=1, all_pass=True)
+
+    monkeypatch.setattr(cli, "_sweep_entry", fake_entry)
+    cfg = write(tmp_path, TINY)
+    assert cli.sweep_command(str(cfg), "e", ["0", "0.05", "0.1"],
+                             tmp_path / "o", jobs=jobs) == 0
+    assert pools == workers
+    assert len(ran) == 3
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "-500"])
+def test_sweep_jobs_below_one_rejected(tmp_path, capsys, monkeypatch, pools, jobs):
+    monkeypatch.setattr(cli, "run_equivalence", lambda scenario: pytest.fail("ran"))
+    out = tmp_path / "o"
+    assert cli.main(["sweep", str(write(tmp_path, TINY)), "--axis", "e",
+                     "--values", "0,0.1", "--out", str(out), "--jobs", jobs]) == 1
+    assert "--jobs" in one_error_line(capsys)
+    assert pools == [] and not out.exists()

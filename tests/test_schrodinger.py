@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 import picture_lab as pl
 from picture_lab import InitialConditions, TimeGrid
+from picture_lab.schrodinger import _drive_phase
 
 
 @pytest.fixture()
@@ -268,3 +269,67 @@ def test_record_times_include_endpoints(natural):
     assert rec.times[0] == 0.0
     assert rec.times[-1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(rec.times) > 0)
+
+
+@pytest.mark.parametrize("n_points", [256, 2048, 4096])
+@pytest.mark.parametrize("theta", [7.3, -7.3, 6.1])
+def test_drive_phase_outer_product_matches_direct_exp(n_points, theta):
+    # |theta| * half_width = 58 and 49: the phase winds 9 and 8 times over
+    # the half-width.  A half-width of 8 makes every grid coordinate an
+    # exact binary fraction, so the comparison sees the factorisation and
+    # the rounding of theta * x, not the rounding of x itself.
+    grid = pl.PositionGrid(half_width=8.0, n_points=n_points)
+    direct = np.exp(1j * theta * grid.x)
+    factored = _drive_phase(grid, theta)
+    assert factored.size == n_points and factored.shape[0] < n_points
+    assert np.max(np.abs(factored.reshape(-1) - direct)) <= 1e-14
+    # on a general half-width the rounding of x shows, at ~ulp(L) * theta
+    general = pl.PositionGrid.for_state(pl.OscillatorParams(), 3.1, n_points=n_points)
+    theta = theta * grid.half_width / general.half_width
+    direct = np.exp(1j * theta * general.x)
+    factored = _drive_phase(general, theta).reshape(-1)
+    assert np.max(np.abs(factored - direct)) <= 1e-15 * abs(theta) * general.half_width
+
+
+N_RUN = 1000
+DRIVE = pl.FieldModel.monochromatic(0.8, 0.7)
+
+
+def _run(natural, field, splitting, record_every):
+    tg = TimeGrid(0.0, 1.5, N_RUN)
+    pgrid = pl.PositionGrid.for_state(natural, 1.0, n_points=256)
+    return pl.propagate(pl.ground_state(natural, pgrid), natural, field, tg,
+                        record_every=record_every, splitting=splitting)
+
+
+@pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
+def test_record_steps_do_not_change_the_run(natural, splitting):
+    # every step a record step against none between the ends: the shared
+    # record spectrum must continue the run exactly as the plain step does
+    dense = _run(natural, DRIVE, splitting, 1)
+    sparse = _run(natural, DRIVE, splitting, N_RUN)
+    assert len(dense.times) == N_RUN + 1 and len(sparse.times) == 2
+    assert np.max(np.abs(dense.psi.psi - sparse.psi.psi)) <= 1e-12
+    for series in ("mean_x", "mean_x2", "norms"):
+        shared = getattr(dense, series)[[0, -1]]
+        assert np.max(np.abs(shared - getattr(sparse, series))) <= 1e-12
+    assert np.max(np.abs(dense.mean_x)) > 0.1  # the drive moved the packet
+
+
+@pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
+@pytest.mark.parametrize("record_every", [1, 7, N_RUN])
+@pytest.mark.parametrize("field", [DRIVE, pl.FieldModel.zero()], ids=["driven", "free"])
+def test_transform_count(natural, monkeypatch, splitting, record_every, field):
+    calls = []
+
+    def counting(transform):
+        def wrapper(*args, **kwargs):
+            calls.append(transform)
+            return transform(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fft", counting(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
+    rec = _run(natural, field, splitting, record_every)
+    weights = pl.SPLITTINGS[splitting]
+    assert len(calls) == 2 * len(weights) * N_RUN + len(rec.times)
