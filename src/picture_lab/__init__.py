@@ -11,22 +11,23 @@ the flawed substitution that once suggested otherwise.
 from .classical import (ClassicalTrajectory, DriveTable, InitialConditions,
                         build_drive_table, decay_certificate, integrate_forced,
                         solve_trajectory)
+from .cli import golden_scenarios
 from .errors import (ConfigInvalid, GridTooNarrow, NonFiniteState, NotDamped,
                      NotDisplacedGaussian, NotNormalized, PictureLabError,
                      StepTooCoarse, TruncationError)
 from .heisenberg import (FockOperator, HeisenbergSolution, build_ladder_operators,
                          coherent_state_vector, commutator_error, evolve_heisenberg,
-                         fock_state_moments, ground_state_vector, moment_x, moment_x2,
+                         fock_state_moments, ground_state_vector, moment_x2,
                          moment_x2_series, moment_x_series)
 from .lab import (EquivalenceReport, Scenario, flawed_identification_residual,
-                  flawed_pipeline_value, free_limit_sweep, golden_scenarios,
-                  observed_order, run_equivalence)
+                  flawed_pipeline_value, free_limit_sweep, observed_order,
+                  run_equivalence)
 from .model import (FieldModel, OscillatorParams, TimeGrid, evaluate_field,
                     ground_state_width)
-from .schrodinger import (SPLITTINGS, GridWavefunction, PhaseRecord, PositionGrid,
+from .schrodinger import (SPLITTINGS, GridWavefunction, PositionGrid,
                           PropagationRecord, decompose_x2, displaced_state,
                           exact_state, expectation_x, expectation_x2, ground_state,
-                          phase_history, phase_record, propagate)
+                          phase_history, propagate)
 
 __version__ = "0.1.0"
 
@@ -38,14 +39,14 @@ __all__ = [
     "TruncationError",
     "FockOperator", "HeisenbergSolution", "build_ladder_operators",
     "coherent_state_vector", "commutator_error", "evolve_heisenberg",
-    "fock_state_moments", "ground_state_vector", "moment_x", "moment_x2",
+    "fock_state_moments", "ground_state_vector", "moment_x2",
     "moment_x2_series", "moment_x_series",
     "EquivalenceReport", "Scenario", "flawed_identification_residual",
     "flawed_pipeline_value", "free_limit_sweep", "golden_scenarios",
     "observed_order", "run_equivalence",
     "FieldModel", "OscillatorParams", "TimeGrid", "evaluate_field",
     "ground_state_width",
-    "SPLITTINGS", "GridWavefunction", "PhaseRecord", "PositionGrid", "PropagationRecord",
+    "SPLITTINGS", "GridWavefunction", "PositionGrid", "PropagationRecord",
     "decompose_x2", "displaced_state", "exact_state", "expectation_x",
-    "expectation_x2", "ground_state", "phase_history", "phase_record", "propagate",
+    "expectation_x2", "ground_state", "phase_history", "propagate",
 ]

@@ -1,10 +1,13 @@
 """Command-line front end: config-driven runs, exports, and sweeps.
 
-Configs are INI-style key-value files with sections; the full schema is
-listed in CONFIG_SCHEMA below and in the README.  Unknown sections or
-keys are hard errors, and every physical value is validated before any
-engine runs.  Exit codes: 0 all verdicts pass, 2 a verdict failed,
-1 configuration or execution error.
+Configs are INI-style key-value files with sections.  CONFIG_SCHEMA below
+gives the type of every key; each default is declared once, on the
+dataclass the key is passed to (OscillatorParams, the FieldModel
+constructor of the field kind, InitialConditions, Scenario, RunConfig),
+and the README lists them.  Unknown sections or keys are hard errors, and
+every physical value is validated before any engine runs.  The bundled
+configs are the golden suite (golden_scenarios).  Exit codes: 0 all
+verdicts pass, 2 a verdict failed, 1 configuration or execution error.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .classical import InitialConditions
@@ -32,64 +35,31 @@ BUNDLED_DIR = Path(__file__).parent / "configs"
 _BOOL_STRINGS = {"true": True, "yes": True, "1": True, "on": True,
                  "false": False, "no": False, "0": False, "off": False}
 
-# section -> key -> (type tag, default); None default means "optional, unset"
+# section -> key -> type tag.  Defaults live only on the dataclasses the
+# keys are passed to; a key the file does not set is not passed on.
 CONFIG_SCHEMA = {
-    "oscillator": {
-        "mass": ("float", 1.0),
-        "omega0": ("float", 1.0),
-        "charge": ("float", 1.0),
-        "hbar": ("float", 1.0),
-    },
-    "field": {
-        "kind": ("str", "zero"),
-        "gamma": ("float", 0.0),
-        "amplitude": ("float", None),
-        "omega": ("float", None),
-        "phase": ("float", None),
-        "amplitudes": ("floats", None),
-        "omegas": ("floats", None),
-        "phases": ("floats", None),
-        "seed": ("int", 0),
-    },
-    "initial": {
-        "q0": ("float", 0.0),
-        "v0": ("float", 0.0),
-    },
-    "time": {
-        "t0": ("float", 0.0),
-        "t1": ("float", None),
-        "periods": ("float", None),
-        "n_steps": ("int", None),
-        "splitting": ("str", "strang"),
-    },
-    "grid": {
-        "n_points": ("int", 2048),
-        "padding_sigmas": ("float", 11.0),
-    },
-    "fock": {
-        "n_fock": ("int", 64),
-        "oracle": ("bool", True),
-        "oracle_steps_per_period": ("int", 1000),
-    },
-    "run": {
-        "name": ("str", None),
-        "record_every": ("int", 1),
-        "match_quantum_ics": ("bool", True),
-        "tol_equivalence": ("float", 1e-5),
-        "decay_threshold": ("float", 1e-3),
-        "export_series": ("bool", True),
-        "export_report": ("bool", True),
-        "export_trajectory": ("bool", False),
-        "export_snapshots": ("bool", False),
-        "export_fock_moments": ("bool", False),
-        "verbosity": ("int", 1),
-    },
+    "oscillator": {"mass": "float", "omega0": "float", "charge": "float",
+                   "hbar": "float"},
+    "field": {"kind": "str", "gamma": "float", "amplitude": "float", "omega": "float",
+              "phase": "float", "amplitudes": "floats", "omegas": "floats",
+              "phases": "floats", "seed": "int"},
+    "initial": {"q0": "float", "v0": "float"},
+    "time": {"t0": "float", "t1": "float", "periods": "float", "n_steps": "int",
+             "splitting": "str"},
+    "grid": {"n_points": "int", "padding_sigmas": "float"},
+    "fock": {"n_fock": "int", "oracle": "bool", "oracle_steps_per_period": "int"},
+    "run": {"name": "str", "record_every": "int", "match_quantum_ics": "bool",
+            "tol_equivalence": "float", "decay_threshold": "float",
+            "export_series": "bool", "export_report": "bool",
+            "export_trajectory": "bool", "export_snapshots": "bool",
+            "export_fock_moments": "bool", "verbosity": "int"},
 }
 
+# field kind -> (required, optional) keyword arguments of its FieldModel constructor
 _FIELD_KEYS = {
-    "zero": {"kind", "gamma"},
-    "monochromatic": {"kind", "gamma", "amplitude", "omega", "phase"},
-    "mode_sum": {"kind", "gamma", "amplitudes", "omegas", "phases", "seed"},
+    "zero": ((), ("gamma",)),
+    "monochromatic": (("amplitude", "omega"), ("phase", "gamma")),
+    "mode_sum": (("amplitudes", "omegas"), ("phases", "seed", "gamma")),
 }
 
 SWEEP_AXES = ("e", "gamma", "dt", "n_points", "n_fock")
@@ -104,6 +74,9 @@ class RunConfig:
     export_snapshots: bool = False
     export_fock_moments: bool = False
     verbosity: int = 1
+
+
+_RUN_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"scenario"}
 
 
 def _convert(section, key, kind, raw):
@@ -124,11 +97,12 @@ def _convert(section, key, kind, raw):
             parts = [p for p in raw.replace(",", " ").split() if p]
             return tuple(float(p) for p in parts)
         return raw.strip()
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigInvalid(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from None
 
 
 def _read_config(path) -> dict:
+    """Section -> the typed values of the keys the file sets."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
     try:
@@ -139,8 +113,7 @@ def _read_config(path) -> dict:
     except configparser.Error as exc:
         raise ConfigInvalid(f"malformed config {path}: {exc}") from None
 
-    values = {section: {k: d for k, (_, d) in schema.items()}
-              for section, schema in CONFIG_SCHEMA.items()}
+    values = {section: {} for section in CONFIG_SCHEMA}
     for section in parser.sections():
         if section not in CONFIG_SCHEMA:
             raise ConfigInvalid(f"unknown section [{section}]")
@@ -148,36 +121,25 @@ def _read_config(path) -> dict:
         for key, raw in parser.items(section):
             if key not in schema:
                 raise ConfigInvalid(f"unknown key '{key}' in section [{section}]")
-            values[section][key] = _convert(section, key, schema[key][0], raw)
+            values[section][key] = _convert(section, key, schema[key], raw)
     return values
 
 
-def _build_field(cfg: dict) -> FieldModel:
-    fsec = cfg["field"]
-    kind = fsec["kind"]
+def _build_field(fsec: dict) -> FieldModel:
+    kind = fsec.pop("kind", FieldModel.kind)
     if kind not in _FIELD_KEYS:
         raise ConfigInvalid(f"[field] kind: must be one of {sorted(_FIELD_KEYS)}, "
                             f"got {kind!r}")
-    set_keys = {k for k, v in fsec.items() if v is not None and k != "seed"}
-    extraneous = set_keys - _FIELD_KEYS[kind] - {"gamma"}
+    required, optional = _FIELD_KEYS[kind]
+    extraneous = fsec.keys() - set(required) - set(optional)
     if extraneous:
         raise ConfigInvalid(f"[field] keys {sorted(extraneous)} are not valid for "
                             f"kind '{kind}'")
+    for key in required:
+        if key not in fsec:
+            raise ConfigInvalid(f"[field] {key} is required for kind '{kind}'")
     try:
-        if kind == "zero":
-            return FieldModel.zero(gamma=fsec["gamma"])
-        if kind == "monochromatic":
-            for key in ("amplitude", "omega"):
-                if fsec[key] is None:
-                    raise ConfigInvalid(f"[field] {key} is required for kind "
-                                        f"'monochromatic'")
-            return FieldModel.monochromatic(fsec["amplitude"], fsec["omega"],
-                                            fsec["phase"] or 0.0, gamma=fsec["gamma"])
-        for key in ("amplitudes", "omegas"):
-            if fsec[key] is None:
-                raise ConfigInvalid(f"[field] {key} is required for kind 'mode_sum'")
-        return FieldModel.mode_sum(fsec["amplitudes"], fsec["omegas"], fsec["phases"],
-                                   seed=fsec["seed"], gamma=fsec["gamma"])
+        return getattr(FieldModel, kind)(**fsec)
     except ValueError as exc:
         raise ConfigInvalid(f"[field] {exc}") from None
 
@@ -189,48 +151,51 @@ def load_config(path) -> RunConfig:
         params = OscillatorParams(**cfg["oscillator"])
     except ValueError as exc:
         raise ConfigInvalid(f"[oscillator] {exc}") from None
-    field = _build_field(cfg)
+    field = _build_field(cfg["field"])
     try:
         ics = InitialConditions(**cfg["initial"])
     except ValueError as exc:
         raise ConfigInvalid(f"[initial] {exc}") from None
 
+    # [time] keys other than the grid's go to Scenario, as do [grid], [fock]
+    # and the [run] keys that RunConfig does not take
     tsec = cfg["time"]
-    if tsec["n_steps"] is None:
+    t0 = tsec.pop("t0", 0.0)
+    t1, periods = tsec.pop("t1", None), tsec.pop("periods", None)
+    if "n_steps" not in tsec:
         raise ConfigInvalid("[time] n_steps is required")
-    if (tsec["t1"] is None) == (tsec["periods"] is None):
+    if (t1 is None) == (periods is None):
         raise ConfigInvalid("[time] exactly one of t1 or periods must be set")
-    t1 = tsec["t1"] if tsec["t1"] is not None else \
-        tsec["t0"] + tsec["periods"] * params.period
+    if t1 is None:
+        t1 = t0 + periods * params.period
     try:
-        grid = TimeGrid(tsec["t0"], t1, tsec["n_steps"])
+        grid = TimeGrid(t0, t1, tsec.pop("n_steps"))
     except ValueError as exc:
         raise ConfigInvalid(f"[time] {exc}") from None
 
+    fock = cfg["fock"]
+    if "oracle" in fock:
+        fock["fock_oracle"] = fock.pop("oracle")
     rsec = cfg["run"]
-    name = rsec["name"] or Path(path).stem
+    name = rsec.pop("name", "") or Path(path).stem
+    run = {key: rsec.pop(key) for key in _RUN_CONFIG_KEYS & rsec.keys()}
     try:
-        scenario = Scenario(
-            name=name, params=params, field=field, ics=ics, time_grid=grid,
-            n_points=cfg["grid"]["n_points"],
-            padding_sigmas=cfg["grid"]["padding_sigmas"],
-            n_fock=cfg["fock"]["n_fock"],
-            fock_oracle=cfg["fock"]["oracle"],
-            oracle_steps_per_period=cfg["fock"]["oracle_steps_per_period"],
-            splitting=tsec["splitting"],
-            record_every=rsec["record_every"],
-            match_quantum_ics=rsec["match_quantum_ics"],
-            tol_equivalence=rsec["tol_equivalence"],
-            decay_threshold=rsec["decay_threshold"])
+        scenario = Scenario(name=name, params=params, field=field, ics=ics,
+                            time_grid=grid, **tsec, **cfg["grid"], **fock, **rsec)
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from None
-    return RunConfig(scenario=scenario,
-                     export_series=rsec["export_series"],
-                     export_report=rsec["export_report"],
-                     export_trajectory=rsec["export_trajectory"],
-                     export_snapshots=rsec["export_snapshots"],
-                     export_fock_moments=rsec["export_fock_moments"],
-                     verbosity=rsec["verbosity"])
+    return RunConfig(scenario=scenario, **run)
+
+
+def golden_scenarios(fock_oracle: bool = True) -> dict:
+    """The four reference scenarios of the acceptance suite, by name.
+
+    They are the bundled configs of the same names; each config's header
+    says why it takes its step count and splitting.
+    """
+    return {name: replace(load_config(BUNDLED_DIR / f"{name}.cfg").scenario,
+                          fock_oracle=fock_oracle)
+            for name in ("free", "driven", "mode_sum", "damped")}
 
 
 def resolve_config_path(arg: str) -> Path:
@@ -329,24 +294,30 @@ def _apply_axis(config: RunConfig, axis: str, value: float) -> RunConfig:
     return replace(config, scenario=s)
 
 
+# sweep_summary.csv columns after axis and value; _sweep_entry returns one
+# row as a dict with these keys
+_SUMMARY_COLUMNS = ("n_steps", "dt", "sup_discrepancy", "ehrenfest_sup",
+                    "decomposition_sup", "residual_min", "residual_max",
+                    "vacuum_term", "q_c_final", "x2_s_final", "all_pass")
+
+
 def _sweep_entry(entry):
     config, out_dir = entry
     report = run_equivalence(config.scenario)
     _export(config, report, Path(out_dir))
-    return {
-        "name": report.scenario.name,
-        "n_steps": report.scenario.time_grid.n_steps,
-        "dt": report.scenario.time_grid.dt,
-        "sup_discrepancy": report.sup_discrepancy,
-        "ehrenfest_sup": report.ehrenfest_sup,
-        "decomposition_sup": report.decomposition_sup,
-        "residual_min": report.residual_min,
-        "residual_max": report.residual_max,
-        "vacuum_term": report.vacuum_term,
-        "q_c_final": float(report.q_c[-1]),
-        "x2_s_final": float(report.x2_s[-1]),
-        "all_pass": report.all_pass,
-    }
+    grid = report.scenario.time_grid
+    derived = {"n_steps": grid.n_steps, "dt": grid.dt,
+               "q_c_final": report.q_c[-1], "x2_s_final": report.x2_s[-1]}
+    return {key: derived[key] if key in derived else getattr(report, key)
+            for key in _SUMMARY_COLUMNS}
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
 
 
 def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
@@ -394,18 +365,10 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
     except Exception as exc:
         return _fail(exc, name)
 
-    header = ["axis", "value", "n_steps", "dt", "sup_discrepancy", "ehrenfest_sup",
-              "decomposition_sup", "residual_min", "residual_max", "vacuum_term",
-              "q_c_final", "x2_s_final", "all_pass"]
-    lines = [",".join(header)]
+    lines = [",".join(("axis", "value") + _SUMMARY_COLUMNS)]
     for v, row in zip(values, rows):
-        lines.append(",".join([axis, repr(float(v)), str(row["n_steps"]),
-                               repr(row["dt"])] +
-                              [repr(float(row[k])) for k in
-                               ("sup_discrepancy", "ehrenfest_sup",
-                                "decomposition_sup", "residual_min", "residual_max",
-                                "vacuum_term", "q_c_final", "x2_s_final")] +
-                              [str(row["all_pass"]).lower()]))
+        lines.append(",".join([axis, repr(float(v))] +
+                              [_csv_cell(row[key]) for key in _SUMMARY_COLUMNS]))
     try:
         atomic_write_text(out / "sweep_summary.csv", "\n".join(lines) + "\n")
     except OSError as exc:

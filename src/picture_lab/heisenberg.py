@@ -170,11 +170,6 @@ def moment_x2(sol: HeisenbergSolution, t: float, state: np.ndarray | None = None
     return float(_closed_form(sol, state, sol.index_of(t))[1])
 
 
-def moment_x(sol: HeisenbergSolution, t: float, state: np.ndarray | None = None) -> float:
-    """<x_H(t)> in ``state`` (default: ground state) at one grid time."""
-    return float(_closed_form(sol, state, sol.index_of(t))[0])
-
-
 def evolve_heisenberg(params: OscillatorParams, field: FieldModel, time_grid: TimeGrid,
                       n_fock: int = 64,
                       reference_trajectory: ClassicalTrajectory | None = None

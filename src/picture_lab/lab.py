@@ -306,45 +306,3 @@ def observed_order(dts, errors) -> float:
         raise ValueError("errors must be positive to estimate an order")
     slope, _ = np.polyfit(np.log(dts), np.log(errors), 1)
     return float(slope)
-
-
-def golden_scenarios(fock_oracle: bool = True) -> dict:
-    """The four reference scenarios used by the acceptance suite.
-
-    Step counts are sized so the split-step error stays well inside the
-    stated tolerances.  The free run is the tightest (its moment must
-    hold 1e-8 over ten periods) and runs the fourth-order "yoshida4"
-    splitting, which holds it to ~6e-12 in 32 000 steps where Strang
-    needs 400 000.  The driven, mode-sum and damped runs stay on Strang:
-    at their step counts the sub-step guard would make Yoshida take more
-    FFTs than Strang does.
-    """
-    natural = OscillatorParams(mass=1.0, omega0=1.0, charge=1.0, hbar=1.0)
-    free_params = replace(natural, charge=0.0)
-    ten_periods = 10.0 * natural.period
-
-    free = Scenario(
-        name="free", params=free_params, field=FieldModel.zero(),
-        ics=InitialConditions(0.0, 0.0),
-        time_grid=TimeGrid(0.0, ten_periods, 32_000),
-        record_every=32, fock_oracle=fock_oracle, splitting="yoshida4")
-    driven = Scenario(
-        name="driven", params=natural,
-        field=FieldModel.monochromatic(amplitude=0.1, omega=0.5),
-        ics=InitialConditions(0.0, 0.0),
-        time_grid=TimeGrid(0.0, ten_periods, 64_000),
-        record_every=16, fock_oracle=fock_oracle)
-    mode_sum = Scenario(
-        name="mode_sum", params=natural,
-        field=FieldModel.mode_sum(amplitudes=(0.06, 0.04, 0.03),
-                                  omegas=(0.37, 1.61, 2.23), seed=7),
-        ics=InitialConditions(0.0, 0.0),
-        time_grid=TimeGrid(0.0, ten_periods, 64_000),
-        record_every=16, fock_oracle=fock_oracle)
-    damped = Scenario(
-        name="damped", params=natural, field=FieldModel.zero(gamma=0.1),
-        ics=InitialConditions(1.0, 0.0),
-        time_grid=TimeGrid(0.0, 200.0 / natural.omega0, 160_000),
-        record_every=40, fock_oracle=fock_oracle,
-        oracle_steps_per_period=800)
-    return {s.name: s for s in (free, driven, mode_sum, damped)}

@@ -95,14 +95,6 @@ class GridWavefunction:
         return abs(self.overlap(other))
 
 
-@dataclass(frozen=True)
-class PhaseRecord:
-    """Phase data of the exact displaced solution at one instant."""
-
-    global_phase: float      # dimensionless S(t)
-    boost_momentum: float    # m * qdot_c(t)
-
-
 def _require_width(params, grid, center):
     sigma = ground_state_width(params)
     if abs(center) + 8.0 * sigma > grid.half_width:
@@ -188,13 +180,6 @@ def exact_state(params: OscillatorParams, grid: PositionGrid,
     S = phase_history(params, traj)
     return displaced_state(params, grid, float(traj.q[index]),
                            float(traj.qdot[index]), float(S[index]))
-
-
-def phase_record(params: OscillatorParams, traj: ClassicalTrajectory,
-                 index: int) -> PhaseRecord:
-    S = phase_history(params, traj)
-    return PhaseRecord(global_phase=float(S[index]),
-                       boost_momentum=params.mass * float(traj.qdot[index]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -133,14 +133,7 @@ def test_determinism_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_bundled_configs_parse_to_golden_scenarios():
-    golden = pl.golden_scenarios()
-    for name in golden:
-        config = cli.load_config(cli.resolve_config_path(name))
-        assert config.scenario == golden[name], name
-
-
-def test_readme_schema_block_lists_every_config_key():
+def test_readme_schema_block_lists_every_config_key(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Config schema", 1)[1].split("```")[1]
     parts = re.split(r"^\[(\w+)\]", block, flags=re.M)[1:]
@@ -150,6 +143,30 @@ def test_readme_schema_block_lists_every_config_key():
         words = set(re.findall(r"\w+", rows[section]))
         missing = [k for k in keys if k not in words]
         assert not missing, f"[{section}] {missing} missing from the README schema"
+
+    # every "key (default ...)" in the block is what load_config gives for a
+    # config that leaves the key unset, with each field kind
+    defaults = {(section, key): raw for section, row in rows.items()
+                for key, raw in re.findall(r"(\w+) \(([^,)]+)", row) if raw != "required"}
+    no_default = {"t1", "periods", "n_steps", "amplitude", "omega", "amplitudes",
+                  "omegas", "phases"}
+    assert sorted(key for _, key in defaults) == \
+        sorted(set().union(*cli.CONFIG_SCHEMA.values()) - no_default)
+    for field in ("", "kind = monochromatic\namplitude = 0.1\nomega = 0.5",
+                  "kind = mode_sum\namplitudes = 0.1\nomegas = 0.5"):
+        text = f"[field]\n{field}\n[time]\nperiods = 1\nn_steps = 4000\n"
+        path = write(tmp_path, text, "minimal.cfg")
+        config = cli.load_config(path)
+        s = config.scenario
+        sources = (config, s, s.params, s.field, s.ics, s.time_grid)
+        for (section, key), raw in defaults.items():
+            if re.search(rf"^{key} =", text, flags=re.M):
+                continue
+            attr = "fock_oracle" if key == "oracle" else key
+            value = next(getattr(o, attr) for o in sources if hasattr(o, attr))
+            expected = path.stem if raw == "config stem" else \
+                cli._convert(section, key, cli.CONFIG_SCHEMA[section][key], raw)
+            assert value == expected, f"[{section}] {key}: README {raw}, loaded {value!r}"
 
 
 def test_sweep_empty_values(tmp_path, capsys):
@@ -235,6 +252,9 @@ def one_error_line(capsys):
     ("fock", "n_fock", "8"),
     ("fock", "oracle_steps_per_period", "0"),
     ("time", "splitting", "rk2"),
+    ("time", "n_steps", "1e400"),
+    ("grid", "n_points", "inf"),
+    ("field", "seed", "3"),
     # section None: a sweep value only, no config key
     (None, "e", "abc"),
     (None, "gamma", "abc"),

@@ -148,15 +148,6 @@ def test_driven_state_matches_exact_displaced_solution(natural):
     assert abs(np.angle(overlap)) < 1e-5
 
 
-def test_phase_record_fields(natural):
-    field = pl.FieldModel.monochromatic(1.0, 0.5)
-    tg = TimeGrid(0.0, math.pi, 2000)
-    traj = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
-    record = pl.phase_record(natural, traj, tg.n_steps)
-    assert math.isfinite(record.global_phase)
-    assert record.boost_momentum == pytest.approx(natural.mass * traj.qdot[-1])
-
-
 def test_norm_conserved_along_driven_run(natural):
     field = pl.FieldModel.monochromatic(0.3, 0.5)
     tg = TimeGrid(0.0, 2.0 * natural.period, 8000)
