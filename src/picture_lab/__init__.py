@@ -15,10 +15,9 @@ from .cli import golden_scenarios
 from .errors import (ConfigInvalid, GridTooNarrow, NonFiniteState, NotDamped,
                      NotDisplacedGaussian, NotNormalized, PictureLabError,
                      StepTooCoarse, TruncationError)
-from .heisenberg import (FockOperator, HeisenbergSolution, build_ladder_operators,
+from .heisenberg import (HeisenbergSolution, build_ladder_operators, closed_form_moments,
                          coherent_state_vector, commutator_error, evolve_heisenberg,
-                         fock_state_moments, ground_state_vector, moment_x2,
-                         moment_x2_series, moment_x_series)
+                         fock_state_moments, ground_state_vector)
 from .lab import (EquivalenceReport, Scenario, flawed_identification_residual,
                   flawed_pipeline_value, free_limit_sweep, observed_order,
                   run_equivalence)
@@ -37,10 +36,9 @@ __all__ = [
     "ConfigInvalid", "GridTooNarrow", "NonFiniteState", "NotDamped",
     "NotDisplacedGaussian", "NotNormalized", "PictureLabError", "StepTooCoarse",
     "TruncationError",
-    "FockOperator", "HeisenbergSolution", "build_ladder_operators",
+    "HeisenbergSolution", "build_ladder_operators", "closed_form_moments",
     "coherent_state_vector", "commutator_error", "evolve_heisenberg",
-    "fock_state_moments", "ground_state_vector", "moment_x2",
-    "moment_x2_series", "moment_x_series",
+    "fock_state_moments", "ground_state_vector",
     "EquivalenceReport", "Scenario", "flawed_identification_residual",
     "flawed_pipeline_value", "free_limit_sweep", "golden_scenarios",
     "observed_order", "run_equivalence",

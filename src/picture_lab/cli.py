@@ -178,6 +178,8 @@ def load_config(path) -> RunConfig:
         fock["fock_oracle"] = fock.pop("oracle")
     rsec = cfg["run"]
     name = rsec.pop("name", "") or Path(path).stem
+    if "/" in name or "\\" in name:  # artifact paths are joined from the name
+        raise ConfigInvalid(f"[run] name: must not contain '/' or '\\', got {name!r}")
     run = {key: rsec.pop(key) for key in _RUN_CONFIG_KEYS & rsec.keys()}
     try:
         scenario = Scenario(name=name, params=params, field=field, ics=ics,
@@ -286,10 +288,8 @@ def _apply_axis(config: RunConfig, axis: str, value: float) -> RunConfig:
         s = replace(s, time_grid=TimeGrid(grid.t0, grid.t1, int(round(horizon / value))))
     elif axis == "n_points":
         s = replace(s, n_points=int(value))
-    elif axis == "n_fock":
+    else:  # n_fock; sweep_command admits only SWEEP_AXES
         s = replace(s, n_fock=int(value))
-    else:
-        raise ConfigInvalid(f"unknown sweep axis '{axis}'")
     s = replace(s, name=f"{s.name}_{axis}={value:g}")
     return replace(config, scenario=s)
 

@@ -8,8 +8,9 @@ evolves as
     x_H(t) = a(t) x + b(t) p + xi(t) 1,
 
 with a = cos(omega0 t), b = sin(omega0 t)/(m omega0) and xi the zero-IC
-c-number response, which the classical RK4 kernel integrates.  Moments
-in any state follow from this coefficient triple.
+c-number response, which the classical RK4 kernel integrates.
+``closed_form_moments`` takes <x_H> and <x_H^2> in any state from this
+coefficient triple; the state vector's length sets the Fock basis.
 
 ``fock_state_moments`` is an independent check of the triple: it
 propagates the Fock state vector itself, by its own RK4 loop in the
@@ -31,20 +32,6 @@ from .model import FieldModel, OscillatorParams, TimeGrid
 _TAIL_POPULATION_LIMIT = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class FockOperator:
-    """Dense operator matrix in the truncated number basis."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def hermiticity_error(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-
 def build_ladder_operators(params: OscillatorParams, n_fock: int):
     """Position and momentum matrices x = s(a + a+), p = i s'(a+ - a).
 
@@ -57,15 +44,13 @@ def build_ladder_operators(params: OscillatorParams, n_fock: int):
     raise_ = lower.conj().T
     sx = math.sqrt(params.hbar / (2.0 * params.mass * params.omega0))
     sp = math.sqrt(params.hbar * params.mass * params.omega0 / 2.0)
-    x_op = FockOperator(matrix=sx * (lower + raise_))
-    p_op = FockOperator(matrix=1j * sp * (raise_ - lower))
-    return x_op, p_op
+    return sx * (lower + raise_), 1j * sp * (raise_ - lower)
 
 
-def commutator_error(x_op: FockOperator, p_op: FockOperator, hbar: float) -> float:
+def commutator_error(x_op: np.ndarray, p_op: np.ndarray, hbar: float) -> float:
     """Max deviation of [x, p] from i hbar 1 on the interior (N-2) block."""
-    comm = x_op.matrix @ p_op.matrix - p_op.matrix @ x_op.matrix
-    n = x_op.dim
+    comm = x_op @ p_op - p_op @ x_op
+    n = len(x_op)
     target = 1j * hbar * np.eye(n, dtype=complex)
     return float(np.max(np.abs((comm - target)[: n - 2, : n - 2])))
 
@@ -103,8 +88,7 @@ def _check_tail(state: np.ndarray):
 class HeisenbergSolution:
     """Evolved position operator as the coefficient triple.
 
-    x_H(t) = a x + b p + xi on every grid sample; the t=0 operators are
-    carried for moment evaluation.
+    x_H(t) = a x + b p + xi on every grid sample.
     """
 
     # Not a field; benchmark spans are named after it.
@@ -112,66 +96,33 @@ class HeisenbergSolution:
 
     params: OscillatorParams
     grid: TimeGrid
-    n_fock: int
-    x0: FockOperator
-    p0: FockOperator
     a: np.ndarray
     b: np.ndarray
     xi: np.ndarray
 
-    def index_of(self, t: float) -> int:
-        """Grid index of a sample time; raises if t is off the grid."""
-        pos = (t - self.grid.t0) / self.grid.dt
-        i = int(round(pos))
-        if i < 0 or i > self.grid.n_steps or abs(pos - i) > 1e-8:
-            raise ValueError(f"t={t!r} is not on the time grid")
-        return i
 
+def closed_form_moments(sol: HeisenbergSolution, state: np.ndarray):
+    """The triple's <x_H> and <x_H^2> in ``state`` on every grid sample.
 
-def _state_moments(x0: FockOperator, p0: FockOperator, state: np.ndarray):
-    xv = x0.matrix @ state
-    pv = p0.matrix @ state
-    return {
-        "x": float(np.real(np.vdot(state, xv))),
-        "p": float(np.real(np.vdot(state, pv))),
-        "xx": float(np.real(np.vdot(xv, xv))),
-        "pp": float(np.real(np.vdot(pv, pv))),
-        "xp_sym": 2.0 * float(np.real(np.vdot(xv, pv))),
-    }
-
-
-def _closed_form(sol: HeisenbergSolution, state: np.ndarray | None, index=slice(None)):
-    """The triple's <x_H>, <x_H^2> in ``state`` (default: ground state).
-
-    The moments are taken at ``index`` of the grid (default: all of it).
+    The basis has dimension len(state).  Raises TruncationError if the
+    state's last two levels hold too much population.
     """
-    state = ground_state_vector(sol.n_fock) if state is None else state
     _check_tail(state)
-    mom = _state_moments(sol.x0, sol.p0, state)
-    a, b, xi = sol.a[index], sol.b[index], sol.xi[index]
-    x = a * mom["x"] + b * mom["p"] + xi
-    x2 = (a**2 * mom["xx"] + b**2 * mom["pp"] + a * b * mom["xp_sym"]
-          + 2.0 * xi * (a * mom["x"] + b * mom["p"]) + xi**2)
+    x_op, p_op = build_ladder_operators(sol.params, len(state))
+    xv = x_op @ state
+    pv = p_op @ state
+    mx = float(np.real(np.vdot(state, xv)))
+    mp = float(np.real(np.vdot(state, pv)))
+    xx = float(np.real(np.vdot(xv, xv)))
+    pp = float(np.real(np.vdot(pv, pv)))
+    xp_sym = 2.0 * float(np.real(np.vdot(xv, pv)))
+    a, b, xi = sol.a, sol.b, sol.xi
+    x = a * mx + b * mp + xi
+    x2 = a**2 * xx + b**2 * pp + a * b * xp_sym + 2.0 * xi * (a * mx + b * mp) + xi**2
     return x, x2
 
 
-def moment_x_series(sol: HeisenbergSolution, state: np.ndarray | None = None) -> np.ndarray:
-    """<x_H(t)> over the whole grid."""
-    return _closed_form(sol, state)[0]
-
-
-def moment_x2_series(sol: HeisenbergSolution, state: np.ndarray | None = None) -> np.ndarray:
-    """<x_H(t)^2> over the whole grid."""
-    return _closed_form(sol, state)[1]
-
-
-def moment_x2(sol: HeisenbergSolution, t: float, state: np.ndarray | None = None) -> float:
-    """<x_H(t)^2> in ``state`` (default: ground state) at one grid time."""
-    return float(_closed_form(sol, state, sol.index_of(t))[1])
-
-
 def evolve_heisenberg(params: OscillatorParams, field: FieldModel, time_grid: TimeGrid,
-                      n_fock: int = 64,
                       reference_trajectory: ClassicalTrajectory | None = None
                       ) -> HeisenbergSolution:
     """Evolve the Heisenberg-picture position operator as its coefficient triple.
@@ -180,7 +131,6 @@ def evolve_heisenberg(params: OscillatorParams, field: FieldModel, time_grid: Ti
     field this is the identity evolution of the free oscillator.
     """
     _check_step(params, field, time_grid)
-    x0, p0 = build_ladder_operators(params, n_fock)
     drive = build_drive_table(params, field, time_grid, reference_trajectory)
 
     w = params.omega0
@@ -188,8 +138,7 @@ def evolve_heisenberg(params: OscillatorParams, field: FieldModel, time_grid: Ti
     a = np.cos(w * rel_t)
     b = np.sin(w * rel_t) / (params.mass * w)
     xi = integrate_forced(params, drive).q
-    return HeisenbergSolution(params=params, grid=time_grid, n_fock=n_fock,
-                              x0=x0, p0=p0, a=a, b=b, xi=xi)
+    return HeisenbergSolution(params=params, grid=time_grid, a=a, b=b, xi=xi)
 
 
 def fock_state_moments(params: OscillatorParams, field: FieldModel, time_grid: TimeGrid,
@@ -211,7 +160,7 @@ def fock_state_moments(params: OscillatorParams, field: FieldModel, time_grid: T
     dim = len(state)
     x_op, _ = build_ladder_operators(params, dim)
     # s a above the diagonal and s a+ below it, stacked for one product
-    ladder = np.vstack((np.triu(x_op.matrix, 1), np.tril(x_op.matrix, -1)))
+    ladder = np.vstack((np.triu(x_op, 1), np.tril(x_op, -1)))
     phases = np.exp(-1j * params.omega0 * (time_grid.half_times - time_grid.t0)).tolist()
     gains = (1j / params.hbar * drive.values).tolist()
 

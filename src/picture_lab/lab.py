@@ -20,12 +20,12 @@ import numpy as np
 
 from .classical import InitialConditions, decay_certificate, solve_trajectory
 from .errors import PictureLabError
-from .heisenberg import (coherent_state_vector, evolve_heisenberg, fock_state_moments,
-                         moment_x2_series, moment_x_series)
+from .heisenberg import (closed_form_moments, coherent_state_vector, evolve_heisenberg,
+                         fock_state_moments)
 from .model import FieldModel, OscillatorParams, TimeGrid
-from .schrodinger import (DEFAULT_PADDING_SIGMAS, SPLITTINGS, GridWavefunction,
-                          PositionGrid, expectation_x2, ground_state, displaced_state,
-                          propagate)
+from .schrodinger import (DEFAULT_N_POINTS, DEFAULT_PADDING_SIGMAS, SPLITTINGS,
+                          GridWavefunction, PositionGrid, expectation_x2, ground_state,
+                          displaced_state, propagate)
 
 TOL_EQUIVALENCE = 1e-5   # cross-engine: accumulated integrator + grid error
 TOL_RESIDUAL = 1e-6      # engine-level identities
@@ -45,7 +45,7 @@ class Scenario:
     field: FieldModel
     ics: InitialConditions
     time_grid: TimeGrid
-    n_points: int = 2048
+    n_points: int = DEFAULT_N_POINTS
     n_fock: int = 64
     padding_sigmas: float = DEFAULT_PADDING_SIGMAS
     record_every: int = 1
@@ -196,7 +196,7 @@ def _run(s: Scenario) -> EquivalenceReport:
         traj = solve_trajectory(params, field, s.ics, grid)
         q_c, qdot_c = traj.q, traj.qdot
 
-    hsol = evolve_heisenberg(params, field, grid, s.n_fock, reference_trajectory=ref)
+    hsol = evolve_heisenberg(params, field, grid, reference_trajectory=ref)
     xi = hsol.xi
 
     if s.match_quantum_ics:
@@ -212,10 +212,10 @@ def _run(s: Scenario) -> EquivalenceReport:
     prop = propagate(psi0, params, field, grid, reference_trajectory=ref,
                      record_every=s.record_every, splitting=s.splitting)
 
-    rec = np.asarray(np.rint((prop.times - grid.t0) / grid.dt), dtype=int)
+    rec = prop.steps
     state = coherent_state_vector(params, s.n_fock, q_init, v_init)
-    x2_h = moment_x2_series(hsol, state)[rec]
-    x_h = moment_x_series(hsol, state)[rec]
+    x_h, x2_h = closed_form_moments(hsol, state)
+    x_h, x2_h = x_h[rec], x2_h[rec]
 
     vacuum = expectation_x2(ground_state(params, pgrid))
     q_rec = q_c[rec]
@@ -272,11 +272,12 @@ def _run_fock_oracle(s: Scenario, state: np.ndarray):
     ref = None
     if field.gamma > 0:
         ref = solve_trajectory(params, field, s.ics, ogrid.refined(2))
-    hsol = evolve_heisenberg(params, field, ogrid, s.n_fock, reference_trajectory=ref)
+    hsol = evolve_heisenberg(params, field, ogrid, reference_trajectory=ref)
+    x_h, x2_h = closed_form_moments(hsol, state)
     x_fock, x2_fock = fock_state_moments(params, field, ogrid, state,
                                          reference_trajectory=ref)
-    x_sup = float(np.max(np.abs(x_fock - moment_x_series(hsol, state))))
-    x2_sup = float(np.max(np.abs(x2_fock - moment_x2_series(hsol, state))))
+    x_sup = float(np.max(np.abs(x_fock - x_h)))
+    x2_sup = float(np.max(np.abs(x2_fock - x2_h)))
     return x_sup, x2_sup
 
 

@@ -29,6 +29,8 @@ from .model import FieldModel, OscillatorParams, TimeGrid, ground_state_width
 
 #: default number of ground-state widths between the state and the grid edge
 DEFAULT_PADDING_SIGMAS = 11.0
+#: default number of grid cells
+DEFAULT_N_POINTS = 2048
 
 _BOUNDARY_DENSITY_LIMIT = 1e-10  # fraction of peak density tolerated at the edge
 
@@ -43,7 +45,7 @@ class PositionGrid:
     """Uniform grid of n_points cells on [-L, L), FFT-compatible."""
 
     half_width: float
-    n_points: int = 2048
+    n_points: int = DEFAULT_N_POINTS
 
     def __post_init__(self):
         if self.half_width <= 0 or not math.isfinite(self.half_width):
@@ -66,7 +68,7 @@ class PositionGrid:
 
     @classmethod
     def for_state(cls, params: OscillatorParams, max_displacement: float = 0.0,
-                  n_points: int = 2048,
+                  n_points: int = DEFAULT_N_POINTS,
                   padding_sigmas: float = DEFAULT_PADDING_SIGMAS) -> "PositionGrid":
         """Grid wide enough for displacements up to ``max_displacement``."""
         sigma = ground_state_width(params)
@@ -187,6 +189,7 @@ class PropagationRecord:
     """Final state plus moment series sampled along a propagation."""
 
     psi: GridWavefunction
+    steps: np.ndarray  # grid step index of each record
     times: np.ndarray
     mean_x: np.ndarray
     mean_x2: np.ndarray
@@ -289,9 +292,7 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
             return ((amplitudes * pots[j]).reshape(phase.shape) * phase).reshape(-1)
         return amplitudes * pots[j]
 
-    rec_steps = [0] + [s for s in range(1, n + 1)
-                       if s % record_every == 0 or s == n]
-    rec_steps = sorted(set(rec_steps))
+    rec_steps = [s for s in range(n + 1) if s % record_every == 0 or s == n]
     times = time_grid.t0 + dt * np.asarray(rec_steps, dtype=float)
     mean_x = np.empty(len(rec_steps))
     mean_x2 = np.empty(len(rec_steps))
@@ -339,5 +340,5 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
                                     f"{step + 1} (edge fraction {fraction:.3g})")
 
     final = GridWavefunction(grid=grid, psi=cur)
-    return PropagationRecord(psi=final, times=times, mean_x=mean_x,
-                             mean_x2=mean_x2, norms=norms)
+    return PropagationRecord(psi=final, steps=np.asarray(rec_steps), times=times,
+                             mean_x=mean_x, mean_x2=mean_x2, norms=norms)

@@ -255,6 +255,8 @@ def one_error_line(capsys):
     ("time", "n_steps", "1e400"),
     ("grid", "n_points", "inf"),
     ("field", "seed", "3"),
+    ("run", "name", "../escaped"),
+    ("run", "name", "..\\escaped"),
     # section None: a sweep value only, no config key
     (None, "e", "abc"),
     (None, "gamma", "abc"),

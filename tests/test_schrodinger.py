@@ -260,6 +260,9 @@ def test_record_times_include_endpoints(natural):
     assert rec.times[0] == 0.0
     assert rec.times[-1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(rec.times) > 0)
+    assert rec.steps.dtype.kind == "i"
+    assert rec.steps.tolist() == [0, 300, 600, 900, 1000]
+    assert np.array_equal(rec.times, tg.times[rec.steps])
 
 
 @pytest.mark.parametrize("n_points", [256, 2048, 4096])
