@@ -63,14 +63,20 @@ def ground_state_vector(n_fock: int) -> np.ndarray:
 
 def coherent_state_vector(params: OscillatorParams, n_fock: int,
                           q0: float, v0: float = 0.0) -> np.ndarray:
-    """Coherent state centered at (q0, m v0) in the truncated basis."""
+    """Coherent state centered at (q0, m v0) in the truncated basis.
+
+    The coefficients alpha^n / sqrt(n!) are normalised in log space,
+    shifted by the largest exponent, so that a basis far too small for
+    alpha still gives a finite vector for the tail guard to reject.
+    """
     m, w, hb = params.mass, params.omega0, params.hbar
     alpha = math.sqrt(m * w / (2.0 * hb)) * q0 + 1j * (m * v0) / math.sqrt(2.0 * m * w * hb)
     n = np.arange(n_fock)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_fock)))))
     if alpha == 0:
         return ground_state_vector(n_fock)
-    coeff = np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha)) - 0.5 * log_fact)
+    exponent = n * np.log(complex(alpha)) - 0.5 * log_fact
+    coeff = np.exp(exponent - exponent.real.max())
     vec = coeff / np.linalg.norm(coeff)
     _check_tail(vec)
     return vec
@@ -78,7 +84,7 @@ def coherent_state_vector(params: OscillatorParams, n_fock: int,
 
 def _check_tail(state: np.ndarray):
     tail = float(abs(state[-1]) ** 2 + abs(state[-2]) ** 2)
-    if tail > _TAIL_POPULATION_LIMIT:
+    if not tail <= _TAIL_POPULATION_LIMIT:  # a NaN tail fails too
         raise TruncationError(
             f"last-two-level population {tail:.3g} exceeds {_TAIL_POPULATION_LIMIT:g}; "
             f"increase n_fock")

@@ -23,9 +23,9 @@ from .errors import PictureLabError
 from .heisenberg import (closed_form_moments, coherent_state_vector, evolve_heisenberg,
                          fock_state_moments)
 from .model import FieldModel, OscillatorParams, TimeGrid
-from .schrodinger import (DEFAULT_N_POINTS, DEFAULT_PADDING_SIGMAS, SPLITTINGS,
-                          GridWavefunction, PositionGrid, expectation_x2, ground_state,
-                          displaced_state, propagate)
+from .schrodinger import (DEFAULT_PADDING_SIGMAS, MIN_N_POINTS, SPLITTINGS,
+                          GridWavefunction, PositionGrid, check_path_step, expectation_x2,
+                          ground_state, displaced_state, propagate)
 
 TOL_EQUIVALENCE = 1e-5   # cross-engine: accumulated integrator + grid error
 TOL_RESIDUAL = 1e-6      # engine-level identities
@@ -45,7 +45,7 @@ class Scenario:
     field: FieldModel
     ics: InitialConditions
     time_grid: TimeGrid
-    n_points: int = DEFAULT_N_POINTS
+    n_points: int | None = None  # None: sized from the state's reach by _run
     n_fock: int = 64
     padding_sigmas: float = DEFAULT_PADDING_SIGMAS
     record_every: int = 1
@@ -62,8 +62,8 @@ class Scenario:
             ("record_every", self.record_every >= 1, "must be at least 1"),
             ("tol_equivalence", _positive(self.tol_equivalence), "must be finite and > 0"),
             ("decay_threshold", _positive(self.decay_threshold), "must be finite and > 0"),
-            ("n_points", n >= 256 and n & (n - 1) == 0,
-             "must be a power of two, at least 256"),
+            ("n_points", n is None or (n >= MIN_N_POINTS and n & (n - 1) == 0),
+             f"must be a power of two, at least {MIN_N_POINTS}"),
             ("n_fock", self.n_fock >= 16, "must be at least 16"),
             ("padding_sigmas", _positive(self.padding_sigmas), "must be finite and > 0"),
             ("oracle_steps_per_period", self.oracle_steps_per_period >= 1,
@@ -206,14 +206,23 @@ def _run(s: Scenario) -> EquivalenceReport:
         q_init, v_init = 0.0, 0.0
         classical_mean = xi
 
+    # the cheap guards first: the state's Fock tail, and the step along the
+    # path the packet's mean will follow
+    state = coherent_state_vector(params, s.n_fock, q_init, v_init)
+    check_path_step(params, field, grid, classical_mean, s.splitting, ref)
+
     reach = float(max(np.max(np.abs(classical_mean)), abs(q_init)))
-    pgrid = PositionGrid.for_state(params, reach, s.n_points, s.padding_sigmas)
+    speed = float(np.max(np.abs(qdot_c)))
+    if not s.match_quantum_ics:
+        # the packet follows xi = q_c - (free solution from q0, v0)
+        speed += params.omega0 * abs(s.ics.q0) + abs(s.ics.v0)
+    pgrid = PositionGrid.for_state(params, reach, s.n_points, s.padding_sigmas,
+                                   max_momentum=params.mass * speed)
     psi0 = displaced_state(params, pgrid, q_init, v_init)
     prop = propagate(psi0, params, field, grid, reference_trajectory=ref,
                      record_every=s.record_every, splitting=s.splitting)
 
     rec = prop.steps
-    state = coherent_state_vector(params, s.n_fock, q_init, v_init)
     x_h, x2_h = closed_form_moments(hsol, state)
     x_h, x2_h = x_h[rec], x2_h[rec]
 

@@ -29,8 +29,8 @@ from .model import FieldModel, OscillatorParams, TimeGrid, ground_state_width
 
 #: default number of ground-state widths between the state and the grid edge
 DEFAULT_PADDING_SIGMAS = 11.0
-#: default number of grid cells
-DEFAULT_N_POINTS = 2048
+#: fewest grid cells; also the floor of the sizing rule in PositionGrid.for_state
+MIN_N_POINTS = 256
 
 _BOUNDARY_DENSITY_LIMIT = 1e-10  # fraction of peak density tolerated at the edge
 
@@ -45,14 +45,14 @@ class PositionGrid:
     """Uniform grid of n_points cells on [-L, L), FFT-compatible."""
 
     half_width: float
-    n_points: int = DEFAULT_N_POINTS
+    n_points: int
 
     def __post_init__(self):
         if self.half_width <= 0 or not math.isfinite(self.half_width):
             raise ValueError("half_width must be positive and finite")
         n = self.n_points
-        if n < 256 or (n & (n - 1)) != 0:
-            raise ValueError("n_points must be a power of two, at least 256")
+        if n < MIN_N_POINTS or (n & (n - 1)) != 0:
+            raise ValueError(f"n_points must be a power of two, at least {MIN_N_POINTS}")
 
     @property
     def dx(self) -> float:
@@ -68,12 +68,26 @@ class PositionGrid:
 
     @classmethod
     def for_state(cls, params: OscillatorParams, max_displacement: float = 0.0,
-                  n_points: int = DEFAULT_N_POINTS,
-                  padding_sigmas: float = DEFAULT_PADDING_SIGMAS) -> "PositionGrid":
-        """Grid wide enough for displacements up to ``max_displacement``."""
+                  n_points: int | None = None,
+                  padding_sigmas: float = DEFAULT_PADDING_SIGMAS,
+                  max_momentum: float = 0.0) -> "PositionGrid":
+        """Grid for displacements up to ``max_displacement`` and momenta up to ``max_momentum``.
+
+        The half-width is the displacement reach plus ``padding_sigmas``
+        ground-state widths.  ``n_points=None`` takes the smallest power of
+        two, at least MIN_N_POINTS, whose pi/dx covers the wavenumber reach
+        |max_momentum|/hbar plus ``padding_sigmas`` momentum widths
+        sqrt(m omega0 / 2 hbar) (the phase-space sampling rule of the
+        Fourier method); an explicit ``n_points`` is taken as given.
+        """
         sigma = ground_state_width(params)
-        return cls(half_width=abs(max_displacement) + padding_sigmas * sigma,
-                   n_points=n_points)
+        half_width = abs(max_displacement) + padding_sigmas * sigma
+        if n_points is None:
+            k_reach = abs(max_momentum) / params.hbar + padding_sigmas * 0.5 / sigma
+            n_points = MIN_N_POINTS
+            while math.pi * n_points / (2.0 * half_width) < k_reach:
+                n_points *= 2
+        return cls(half_width=half_width, n_points=n_points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,22 +213,44 @@ class PropagationRecord:
         return float(np.max(np.abs(self.norms - 1.0)))
 
 
-def _check_propagation_step(params, psi0, forces, longest_step):
+def _sub_step_forces(params, field, time_grid, reference_trajectory, weights):
+    """The drive at the midpoint of every sub-step, shape (n_steps, len(weights))."""
+    drive = build_drive_table(params, field, time_grid, reference_trajectory)
+    offsets = [sum(weights[:j]) + 0.5 * w for j, w in enumerate(weights)]
+    return drive.stage_values(offsets)
+
+
+def _check_step_scale(params, center, forces, longest_step, step):
     """Heuristic accuracy guard: (longest sub-step) * (energy scale) / hbar < 0.1.
 
-    The energy scale takes the largest drive over the sampled stages.
+    The energy scale is that of a packet at ``center`` spanning ten
+    ground-state widths, under the largest drive over the sampled stages.
     """
-    sigma = ground_state_width(params)
-    d = psi0.density()
-    x0 = float(psi0.grid.dx * np.sum(psi0.grid.x * d))
-    span = abs(x0) + 10.0 * sigma
+    span = abs(center) + 10.0 * ground_state_width(params)
     f_max = float(np.max(np.abs(forces)))
     scale = (0.5 * params.mass * params.omega0**2 * span**2 + f_max * span
              + 0.5 * params.hbar * params.omega0)
     if longest_step * scale / params.hbar >= 0.1:
         raise StepTooCoarse(
             f"sub-step {longest_step:.3g} too coarse for energy scale {scale:.3g} "
-            f"(need sub-step*scale/hbar < 0.1)")
+            f"at step {step} (need sub-step*scale/hbar < 0.1)")
+
+
+def check_path_step(params: OscillatorParams, field: FieldModel, time_grid: TimeGrid,
+                    path: np.ndarray, splitting: str,
+                    reference_trajectory: ClassicalTrajectory | None):
+    """The step guard of ``propagate`` for a packet whose mean follows ``path``.
+
+    ``path`` is sampled on ``time_grid``.  The energy scale grows with the
+    displacement, so the guard is applied where |path| is largest, and
+    StepTooCoarse names that step.  ``propagate`` itself can only check
+    the state it starts from.
+    """
+    weights = SPLITTINGS[splitting]
+    forces = _sub_step_forces(params, field, time_grid, reference_trajectory, weights)
+    step = int(np.argmax(np.abs(path)))
+    _check_step_scale(params, float(path[step]), forces,
+                      max(abs(w) for w in weights) * time_grid.dt, step)
 
 
 def _drive_phase(grid: PositionGrid, theta: float) -> np.ndarray:
@@ -255,10 +291,17 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     records transforms.
 
     Moments are recorded at t0, every ``record_every``-th step, and the
-    final time; ``record_every < 1`` raises ValueError.  Raises
-    GridTooNarrow if probability reaches the grid edge, checked at every
-    step, and StepTooCoarse if the longest sub-step fails the energy-scale
-    heuristic.
+    final time; ``record_every < 1`` raises ValueError.  Two edge guards
+    run at every step and raise GridTooNarrow naming it: probability
+    reaching the position edge (the two edge cells, against 1e-10 of the
+    peak density at the last record), and spectral weight reaching
+    +-k_max (the two bins beside the Nyquist index, against 1e-10 of the
+    spectral peak at the last record), which catches aliasing.  The
+    spectrum is the forward FFT that each step takes anyway: its modulus
+    is the current state's, as the pending half kinetic factor is
+    unimodular.  StepTooCoarse is raised if the longest sub-step fails
+    the energy-scale heuristic for the initial state; ``check_path_step``
+    applies the same guard along a known path of the mean.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every!r}")
@@ -266,14 +309,13 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
         raise ValueError(f"splitting must be one of {', '.join(SPLITTINGS)}, "
                          f"got {splitting!r}")
     weights = SPLITTINGS[splitting]
-    drive = build_drive_table(params, field, time_grid, reference_trajectory)
     grid = psi.grid
     n = time_grid.n_steps
     dt = time_grid.dt
     hb = params.hbar
-    offsets = [sum(weights[:j]) + 0.5 * w for j, w in enumerate(weights)]
-    forces = drive.stage_values(offsets)
-    _check_propagation_step(params, psi, forces, max(abs(w) for w in weights) * dt)
+    forces = _sub_step_forces(params, field, time_grid, reference_trajectory, weights)
+    _check_step_scale(params, grid.dx * float(np.dot(grid.x, psi.density())), forces,
+                      max(abs(w) for w in weights) * dt, 0)
 
     x = grid.x
     k = grid.k
@@ -298,9 +340,19 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     mean_x2 = np.empty(len(rec_steps))
     norms = np.empty(len(rec_steps))
     fft, ifft = np.fft.fft, np.fft.ifft
+    nyq = grid.n_points // 2  # -k_max; nyq - 1 is the largest positive k
 
-    def record(slot, amplitudes):
-        """Store the moments; returns the edge amplitude allowed until the next record."""
+    def edge_error(kind, step, fraction):
+        return GridTooNarrow(f"{kind} reached the grid edge at step {step} "
+                             f"(edge fraction {fraction:.3g})")
+
+    def record(slot, amplitudes, spectrum):
+        """Store the moments and check the edge guards at this record.
+
+        Returns the position and spectral edge amplitudes allowed until
+        the next record.
+        """
+        step = rec_steps[slot]
         d = np.abs(amplitudes) ** 2
         total = d.sum()
         norms[slot] = math.sqrt(grid.dx * total)
@@ -309,35 +361,43 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
         peak = d.max()
         edge = max(d[0], d[-1]) / peak
         if edge > _BOUNDARY_DENSITY_LIMIT:
-            raise GridTooNarrow(f"probability density reached the grid edge "
-                                f"(edge fraction {edge:.3g})")
-        return math.sqrt(_BOUNDARY_DENSITY_LIMIT * peak)
+            raise edge_error("probability density", step, edge)
+        s2 = np.abs(spectrum) ** 2
+        k_peak = s2.max()
+        k_edge = max(s2[nyq - 1], s2[nyq]) / k_peak
+        if k_edge > _BOUNDARY_DENSITY_LIMIT:
+            raise edge_error("spectral density", step, k_edge)
+        return (math.sqrt(_BOUNDARY_DENSITY_LIMIT * peak),
+                math.sqrt(_BOUNDARY_DENSITY_LIMIT * k_peak))
 
     cur = psi.psi
-    edge_amp = record(0, cur)
+    spectrum = fft(cur)
+    edge_amp, k_edge_amp = record(0, cur, spectrum)
     next_rec = 1
     # staggered state: leading half kinetic applied, trailing one pending
-    stag = ifft(fft(cur) * lead)
+    stag = ifft(spectrum * lead)
     for step in range(n):
         for j in range(last):
             stag = ifft(fft(kick(stag, step, j)) * joins[j])
-        stag = kick(stag, step, last)
+        spectrum = fft(kick(stag, step, last))
         if rec_steps[next_rec] == step + 1:
-            spectrum = fft(stag)
             cur = ifft(spectrum * tail)
-            edge_amp = record(next_rec, cur)
+            edge_amp, k_edge_amp = record(next_rec, cur, spectrum)
             next_rec += 1
             if step < n - 1:
                 stag = ifft(spectrum * wrap)
-        else:
-            stag = ifft(fft(stag) * wrap)
-            # between records, the two edge cells catch a packet crossing
-            # the periodic boundary
-            edge = max(abs(stag[0]), abs(stag[-1]))
-            if edge > edge_amp:
-                fraction = _BOUNDARY_DENSITY_LIMIT * (edge / edge_amp) ** 2
-                raise GridTooNarrow(f"probability density reached the grid edge at step "
-                                    f"{step + 1} (edge fraction {fraction:.3g})")
+            continue
+        # between records, the two edge cells catch a packet crossing the
+        # periodic boundary, and the two bins at +-k_max one aliasing
+        k_edge = max(abs(spectrum[nyq - 1]), abs(spectrum[nyq]))
+        if k_edge > k_edge_amp:
+            raise edge_error("spectral density", step + 1,
+                             _BOUNDARY_DENSITY_LIMIT * (k_edge / k_edge_amp) ** 2)
+        stag = ifft(spectrum * wrap)
+        edge = max(abs(stag[0]), abs(stag[-1]))
+        if edge > edge_amp:
+            raise edge_error("probability density", step + 1,
+                             _BOUNDARY_DENSITY_LIMIT * (edge / edge_amp) ** 2)
 
     final = GridWavefunction(grid=grid, psi=cur)
     return PropagationRecord(psi=final, steps=np.asarray(rec_steps), times=times,

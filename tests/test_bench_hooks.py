@@ -3,12 +3,16 @@
 bench/spans.py wraps program attributes by name, and bench/run.py's
 ``layer_metrics`` reads the spans and counters those wrappers record.  A
 refactor that renames or reshapes a wrapped function breaks the per-layer
-metrics without failing any program test; this test catches that.
+metrics without failing any program test; this test catches that.  The
+sweep_fixed workload's generated configs are also checked to run on the
+smallest grid.
 """
 
 import ast
 import importlib.util
+import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from picture_lab import cli, heisenberg, lab, schrodinger
@@ -64,11 +68,16 @@ def _layer_metrics_reads():
     return names, pairs, keys, prefixes
 
 
+def _load_bench_module(monkeypatch, name, filename):
+    spec = importlib.util.spec_from_file_location(name, BENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_spans_record_what_layer_metrics_reads(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
-    spec.loader.exec_module(spans)
+    spans = _load_bench_module(monkeypatch, "bench_spans", "spans.py")
 
     config = tmp_path / "hooks.cfg"
     config.write_text(DRIVEN)
@@ -91,3 +100,15 @@ def test_bench_spans_record_what_layer_metrics_reads(tmp_path, monkeypatch):
                 assert s.counters.get(key, 0) > 0, (name, key)
     for key in keys:
         assert any(s.counters.get(key, 0) > 0 for s in tracer.spans), key
+
+
+def test_sweep_fixed_grids_sized_to_256(tmp_path, monkeypatch):
+    _load_bench_module(monkeypatch, "spans", "spans.py")  # run.py imports it
+    monkeypatch.setattr(os, "environ", dict(os.environ))  # run.py pins threads
+    run = _load_bench_module(monkeypatch, "bench_run", "run.py")
+    path, charges = run.sweep_config(1, 1.0, tmp_path)
+    base = cli.load_config(path).scenario
+    for charge in charges:
+        s = replace(base, params=replace(base.params, charge=float(charge)),
+                    fock_oracle=False)
+        assert lab.run_equivalence(s).final_state.grid.n_points == 256

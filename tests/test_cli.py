@@ -164,8 +164,12 @@ def test_readme_schema_block_lists_every_config_key(tmp_path):
                 continue
             attr = "fock_oracle" if key == "oracle" else key
             value = next(getattr(o, attr) for o in sources if hasattr(o, attr))
-            expected = path.stem if raw == "config stem" else \
-                cli._convert(section, key, cli.CONFIG_SCHEMA[section][key], raw)
+            if raw == "config stem":
+                expected = path.stem
+            elif raw.startswith("auto"):  # left unset: chosen at run time
+                expected = None
+            else:
+                expected = cli._convert(section, key, cli.CONFIG_SCHEMA[section][key], raw)
             assert value == expected, f"[{section}] {key}: README {raw}, loaded {value!r}"
 
 
@@ -289,6 +293,89 @@ def test_invalid_scenario_value_rejected_before_engines(tmp_path, capsys, monkey
                          "--out", str(out)]) == 1
         assert f"{key}={value}" in one_error_line(capsys)
     assert not out.exists()
+
+
+# A free packet released from q0 = 15 swings through x = 0 with momentum
+# 15; its spectrum then needs pi/dx above 15 + 11 momentum widths.
+RELEASED = """
+[oscillator]
+charge = 0.0
+
+[initial]
+q0 = 15.0
+
+[time]
+periods = 1
+n_steps = 16000
+
+[fock]
+n_fock = 256
+
+[run]
+name = released
+export_snapshots = true
+"""
+
+
+def snapshot_rows(path):
+    return len(path.read_text().splitlines()) - 1  # less the header
+
+
+def test_aliasing_is_a_grid_error(tmp_path, capsys):
+    # 256 points give pi/dx = 17.6: the spectrum wraps round +-k_max, which
+    # no position-space guard sees, and the run must not end as a verdict
+    cfg = write(tmp_path, set_key(RELEASED, "grid", "n_points", "256"))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "spectral density reached the grid edge at step" in one_error_line(capsys)
+
+
+def test_grid_sized_from_the_momentum_reach(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["run", str(write(tmp_path, RELEASED)), "--out", str(out)]) == 0
+    assert snapshot_rows(out / "released_final_state.csv") == 512
+
+
+def test_explicit_n_points_is_honoured(tmp_path):
+    text = set_key(TINY, "run", "export_snapshots", "true")
+    out = tmp_path / "o"
+    assert cli.main(["run", str(write(tmp_path, text)), "--out", str(out), "--quiet"]) == 0
+    assert snapshot_rows(out / "tiny_final_state.csv") == 256
+    fixed = write(tmp_path, set_key(text, "grid", "n_points", "1024"), "fixed.cfg")
+    assert cli.main(["run", str(fixed), "--out", str(out), "--quiet"]) == 0
+    assert snapshot_rows(out / "tiny_final_state.csv") == 1024
+    sweep = tmp_path / "sweep"
+    assert cli.main(["sweep", str(write(tmp_path, text)), "--axis", "n_points",
+                     "--values", "512,2048", "--out", str(sweep)]) == 0
+    for n in (512, 2048):
+        name = f"n_points={n}"
+        assert snapshot_rows(sweep / name / f"tiny_{name}_final_state.csv") == n
+
+
+def test_step_guard_follows_the_packet(tmp_path, capsys):
+    # resonant drive from rest: the energy scale of the packet at t0 passes
+    # the guard, but the packet swings out to |q_c| ~ 12
+    text = """
+[field]
+kind = monochromatic
+amplitude = 1.0
+omega = 1.0
+
+[time]
+periods = 4
+n_steps = 16000
+
+[fock]
+n_fock = 256
+"""
+    assert cli.main(["run", str(write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 1
+    err = one_error_line(capsys)
+    assert "too coarse" in err and "at step" in err
+
+
+def test_truncated_coherent_state_exits_one(tmp_path, capsys):
+    text = set_key(set_key(TINY, "initial", "v0", "60.0"), "fock", "n_fock", "64")
+    assert cli.main(["run", str(write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 1
+    assert "n_fock" in one_error_line(capsys)
 
 
 def test_foreign_exception_exits_one_without_traceback(tmp_path, capsys, monkeypatch):

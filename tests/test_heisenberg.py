@@ -127,6 +127,17 @@ def test_truncation_error_for_large_displacement(natural):
         pl.coherent_state_vector(natural, 16, 5.0, 0.0)
 
 
+def test_truncation_guard_rejects_an_underflowing_basis(natural):
+    # |alpha|^2 = 1800 on 64 levels: every e^{-|alpha|^2/2} alpha^n / sqrt(n!)
+    # underflows to zero, so the coefficients must be normalised in log space
+    with pytest.raises(pl.TruncationError, match="n_fock"):
+        pl.coherent_state_vector(natural, 64, 0.0, 60.0)
+    # and a NaN state fails the tail guard instead of slipping past it
+    sol = pl.evolve_heisenberg(natural, pl.FieldModel.zero(), TimeGrid(0.0, 1.0, 100))
+    with pytest.raises(pl.TruncationError):
+        pl.closed_form_moments(sol, np.full(64, np.nan, dtype=complex))
+
+
 def test_step_too_coarse(natural):
     field = pl.FieldModel.monochromatic(1.0, 30.0)
     with pytest.raises(pl.StepTooCoarse):

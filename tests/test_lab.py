@@ -168,3 +168,10 @@ def test_golden_scenarios_well_formed():
     assert golden["free"].params.charge == 0.0
     assert golden["damped"].field.gamma > 0.0
     assert golden["damped"].ics.q0 == 1.0
+
+
+def test_golden_grids_sized_from_the_state(golden_reports):
+    # every golden packet's phase-space reach fits the smallest grid
+    for rep in golden_reports.values():
+        assert rep.scenario.n_points is None
+        assert rep.final_state.grid.n_points == 256

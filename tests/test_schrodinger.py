@@ -224,6 +224,41 @@ def test_propagate_detects_edge_contact_between_records(free_params, splitting):
                      splitting=splitting)
 
 
+@pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
+def test_propagate_detects_spectral_weight_at_k_edge(free_params, splitting):
+    # released from x = 15, the packet passes x = 0 with momentum 15 after a
+    # quarter period: the grid holds it in position, but 256 points give
+    # pi/dx = 17.6, and its spectrum wraps round +-k_max.  Records only at
+    # the ends, so the per-step check has to catch it.
+    tg = TimeGrid(0.0, 0.25 * free_params.period, 8000)
+    for n_points, aliased in ((256, True), (512, False)):
+        pgrid = pl.PositionGrid.for_state(free_params, 15.0, n_points=n_points)
+        psi = pl.displaced_state(free_params, pgrid, 15.0)
+        if aliased:
+            with pytest.raises(pl.GridTooNarrow, match="spectral density .* at step"):
+                pl.propagate(psi, free_params, pl.FieldModel.zero(), tg,
+                             record_every=8000, splitting=splitting)
+        else:
+            rec = pl.propagate(psi, free_params, pl.FieldModel.zero(), tg,
+                               record_every=8000, splitting=splitting)
+            assert abs(rec.mean_x[-1]) < 1e-3  # it did reach x = 0
+
+
+def test_for_state_sizes_from_both_reaches(natural):
+    # pi/dx = pi n / 2L must cover |p|/hbar + 11 momentum widths sqrt(1/2)
+    sigma = pl.ground_state_width(natural)
+    assert pl.PositionGrid.for_state(natural).n_points == 256
+    for reach, n_points in ((0.0, 256), (15.0, 512), (40.0, 2048)):
+        grid = pl.PositionGrid.for_state(natural, reach, max_momentum=reach)
+        assert grid.n_points == n_points
+        k_reach = reach + 11.0 * 0.5 / sigma
+        assert math.pi / grid.dx >= k_reach
+        if n_points > 256:  # and half as many points would not do
+            assert math.pi / (2.0 * grid.dx) < k_reach
+    assert pl.PositionGrid.for_state(natural, 15.0, n_points=256,
+                                     max_momentum=15.0).n_points == 256
+
+
 def test_yoshida_weights_satisfy_order_conditions():
     weights = pl.SPLITTINGS["yoshida4"]
     assert weights == weights[::-1]
