@@ -11,7 +11,6 @@ the flawed substitution that once suggested otherwise.
 from .classical import (ClassicalTrajectory, DriveTable, InitialConditions,
                         build_drive_table, decay_certificate, integrate_forced,
                         solve_trajectory)
-from .cli import golden_scenarios
 from .errors import (ConfigInvalid, GridTooNarrow, NonFiniteState, NotDamped,
                      NotDisplacedGaussian, NotNormalized, PictureLabError,
                      StepTooCoarse, TruncationError)
@@ -48,3 +47,12 @@ __all__ = [
     "decompose_x2", "displaced_state", "exact_state", "expectation_x",
     "expectation_x2", "ground_state", "phase_history", "propagate",
 ]
+
+
+def __getattr__(name):
+    # cli is imported on first use (PEP 562), so that importing the package
+    # leaves ``python -m picture_lab.cli`` to run it fresh as __main__
+    if name == "golden_scenarios":
+        from .cli import golden_scenarios
+        return golden_scenarios
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -333,14 +333,20 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
     try:
         base = load_config(resolve_config_path(config_path))
         out = Path(out_dir) if out_dir else Path(f"{base.scenario.name}_sweep_{axis}")
-        entries, parsed = [], []
+        entries, parsed, raws = [], [], {}
         for raw in values:
             v = _axis_value(axis, raw)
+            # the label names the entry's directory and scenario
+            label = f"{axis}={v:g}"
+            if label in raws:
+                raise ConfigInvalid(f"sweep {axis}: values {raws[label]} and {raw.strip()} "
+                                    f"both label their entry {label}")
+            raws[label] = raw.strip()
             try:
                 entry = _apply_axis(base, axis, v)
             except ValueError as exc:  # the scenario rejects this value
                 raise ConfigInvalid(f"sweep {axis}={raw.strip()}: {exc}") from None
-            entries.append((entry, out / f"{axis}={v:g}"))
+            entries.append((entry, out / label))
             parsed.append(v)
     except Exception as exc:
         return _fail(exc)

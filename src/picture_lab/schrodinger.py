@@ -253,19 +253,6 @@ def check_path_step(params: OscillatorParams, field: FieldModel, time_grid: Time
                       max(abs(w) for w in weights) * time_grid.dt, step)
 
 
-def _drive_phase(grid: PositionGrid, theta: float) -> np.ndarray:
-    """exp(i theta x) on ``grid``, shaped (R, C) with R * C = n_points.
-
-    The grid is uniform, x = x0 + dx (C r + c), so the phase is the outer
-    product of exp(i theta (x0 + dx C r)) and exp(i theta dx c): R + C
-    complex exponentials instead of n_points.  n_points is a power of two,
-    and C is its square root rounded up to a power of two (64 at 2048).
-    """
-    cols = 1 << (grid.n_points.bit_length() // 2)
-    rows = np.exp(1j * theta * grid.x[::cols])
-    return rows[:, None] * np.exp((1j * theta * grid.dx) * np.arange(cols))
-
-
 def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel,
               time_grid: TimeGrid, reference_trajectory: ClassicalTrajectory | None = None,
               record_every: int = 1, splitting: str = "strang") -> PropagationRecord:
@@ -284,11 +271,11 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     jump (fourth order, three FFT pairs per step).  Norm is preserved up
     to roundoff either way.
 
-    The drive phase exp(i F w dt x / hbar) of each kick is built as an
-    outer product of two short exponentials (``_drive_phase``), and a record
-    step shares one forward FFT between the recorded state and the state
-    that continues the run, so a run takes 2 * len(weights) * n_steps +
-    records transforms.
+    Each kick is one exponential of the full potential V(x, t) w dt / hbar
+    (Feit, Fleck and Steiger, J. Comput. Phys. 47, 412 (1982)); without a
+    drive it is a fixed factor.  A record step shares one forward FFT
+    between the recorded state and the state that continues the run, so a
+    run takes 2 * len(weights) * n_steps + records transforms.
 
     Moments are recorded at t0, every ``record_every``-th step, and the
     final time; ``record_every < 1`` raises ValueError.  Two edge guards
@@ -320,9 +307,11 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     x = grid.x
     k = grid.k
     half = [np.exp(-1j * hb * k**2 * (w * dt) / (4.0 * params.mass)) for w in weights]
-    pots = [np.exp(-1j * (0.5 * params.mass * params.omega0**2 * x**2) * (w * dt) / hb)
-            for w in weights]
-    thetas = [w * dt / hb for w in weights]  # multiply by F: the drive phase per unit x
+    # kick exponents: the oscillator's, plus the drive's per unit F
+    pot_exp = [-1j * (0.5 * params.mass * params.omega0**2 * x**2) * (w * dt) / hb
+               for w in weights]
+    drive_exp = [(1j * w * dt / hb) * x for w in weights]
+    pots = [np.exp(e) for e in pot_exp]
     joins = [a * b for a, b in zip(half[:-1], half[1:])]  # inside one step
     lead, tail, wrap = half[0], half[-1], half[-1] * half[0]
     driven = bool(np.any(forces))
@@ -330,8 +319,7 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
 
     def kick(amplitudes, step, j):
         if driven:
-            phase = _drive_phase(grid, forces[step, j] * thetas[j])
-            return ((amplitudes * pots[j]).reshape(phase.shape) * phase).reshape(-1)
+            return amplitudes * np.exp(pot_exp[j] + forces[step, j] * drive_exp[j])
         return amplitudes * pots[j]
 
     rec_steps = [s for s in range(n + 1) if s % record_every == 0 or s == n]
@@ -342,37 +330,37 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     fft, ifft = np.fft.fft, np.fft.ifft
     nyq = grid.n_points // 2  # -k_max; nyq - 1 is the largest positive k
 
-    def edge_error(kind, step, fraction):
-        return GridTooNarrow(f"{kind} reached the grid edge at step {step} "
-                             f"(edge fraction {fraction:.3g})")
-
     def record(slot, amplitudes, spectrum):
-        """Store the moments and check the edge guards at this record.
+        """Store the moments at this record.
 
         Returns the position and spectral edge amplitudes allowed until
         the next record.
         """
-        step = rec_steps[slot]
         d = np.abs(amplitudes) ** 2
-        total = d.sum()
-        norms[slot] = math.sqrt(grid.dx * total)
+        norms[slot] = math.sqrt(grid.dx * d.sum())
         mean_x[slot] = grid.dx * float(np.dot(x, d))
         mean_x2[slot] = grid.dx * float(np.dot(x * x, d))
-        peak = d.max()
-        edge = max(d[0], d[-1]) / peak
-        if edge > _BOUNDARY_DENSITY_LIMIT:
-            raise edge_error("probability density", step, edge)
-        s2 = np.abs(spectrum) ** 2
-        k_peak = s2.max()
-        k_edge = max(s2[nyq - 1], s2[nyq]) / k_peak
-        if k_edge > _BOUNDARY_DENSITY_LIMIT:
-            raise edge_error("spectral density", step, k_edge)
-        return (math.sqrt(_BOUNDARY_DENSITY_LIMIT * peak),
+        k_peak = (np.abs(spectrum) ** 2).max()
+        return (math.sqrt(_BOUNDARY_DENSITY_LIMIT * d.max()),
                 math.sqrt(_BOUNDARY_DENSITY_LIMIT * k_peak))
+
+    def check_edges(step, amplitudes, spectrum, allowed):
+        """Raise GridTooNarrow naming ``step`` if the two bins at +-k_max,
+        then the two edge cells, exceed the amplitudes ``allowed``."""
+        for kind, edge, limit in (
+                ("spectral density", max(abs(spectrum[nyq - 1]), abs(spectrum[nyq])),
+                 allowed[1]),
+                ("probability density", max(abs(amplitudes[0]), abs(amplitudes[-1])),
+                 allowed[0])):
+            if edge > limit:
+                raise GridTooNarrow(
+                    f"{kind} reached the grid edge at step {step} (edge fraction "
+                    f"{_BOUNDARY_DENSITY_LIMIT * (edge / limit) ** 2:.3g})")
 
     cur = psi.psi
     spectrum = fft(cur)
-    edge_amp, k_edge_amp = record(0, cur, spectrum)
+    allowed = record(0, cur, spectrum)
+    check_edges(0, cur, spectrum, allowed)
     next_rec = 1
     # staggered state: leading half kinetic applied, trailing one pending
     stag = ifft(spectrum * lead)
@@ -380,24 +368,17 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
         for j in range(last):
             stag = ifft(fft(kick(stag, step, j)) * joins[j])
         spectrum = fft(kick(stag, step, last))
+        if step < n - 1:  # the last step is a record step
+            stag = ifft(spectrum * wrap)
         if rec_steps[next_rec] == step + 1:
             cur = ifft(spectrum * tail)
-            edge_amp, k_edge_amp = record(next_rec, cur, spectrum)
+            allowed = record(next_rec, cur, spectrum)
             next_rec += 1
-            if step < n - 1:
-                stag = ifft(spectrum * wrap)
-            continue
-        # between records, the two edge cells catch a packet crossing the
-        # periodic boundary, and the two bins at +-k_max one aliasing
-        k_edge = max(abs(spectrum[nyq - 1]), abs(spectrum[nyq]))
-        if k_edge > k_edge_amp:
-            raise edge_error("spectral density", step + 1,
-                             _BOUNDARY_DENSITY_LIMIT * (k_edge / k_edge_amp) ** 2)
-        stag = ifft(spectrum * wrap)
-        edge = max(abs(stag[0]), abs(stag[-1]))
-        if edge > edge_amp:
-            raise edge_error("probability density", step + 1,
-                             _BOUNDARY_DENSITY_LIMIT * (edge / edge_amp) ** 2)
+            check_edges(step + 1, cur, spectrum, allowed)
+        else:
+            # the two edge cells catch a packet crossing the periodic
+            # boundary, and the two bins at +-k_max one aliasing
+            check_edges(step + 1, stag, spectrum, allowed)
 
     final = GridWavefunction(grid=grid, psi=cur)
     return PropagationRecord(psi=final, steps=np.asarray(rec_steps), times=times,

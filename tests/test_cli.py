@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +180,18 @@ def test_sweep_empty_values(tmp_path, capsys):
     cfg = write(tmp_path, TINY)
     assert cli.main(["sweep", str(cfg), "--axis", "e", "--values", ","]) == 1
     assert "no sweep values" in capsys.readouterr().err
+
+
+def test_sweep_rejects_values_with_one_label(tmp_path, capsys):
+    # both print as e=0.1: the second entry would overwrite the first's files
+    cfg = write(tmp_path, TINY)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(cfg), "--axis", "e", "--values", "0.1, 0.1000001",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sweep e: ")
+    assert "0.1 " in err[0] and "0.1000001" in err[0]
+    assert not out.exists()  # rejected before any engine ran
 
 
 def test_sweep_charge_axis(tmp_path, capsys):
@@ -454,3 +469,16 @@ def test_sweep_jobs_below_one_rejected(tmp_path, capsys, monkeypatch, pools, job
                      "--values", "0,0.1", "--out", str(out), "--jobs", jobs]) == 1
     assert "--jobs" in one_error_line(capsys)
     assert pools == [] and not out.exists()
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    # importing the package must not import cli, or runpy warns that
+    # picture_lab.cli was already in sys.modules before running it as __main__
+    cfg = write(tmp_path, TINY)
+    env = dict(os.environ, PYTHONPATH=str(Path(pl.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "picture_lab.cli", "run",
+         str(cfg), "--quiet", "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "tiny_report.json").exists()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from scipy.integrate import quad
 
 import picture_lab as pl
 from picture_lab import InitialConditions, TimeGrid
-from picture_lab.schrodinger import _drive_phase
 
 
 @pytest.fixture()
@@ -211,37 +211,46 @@ def test_propagate_detects_density_at_edge(free_params):
                      TimeGrid(0.0, free_params.period, 4000), record_every=40)
 
 
+def _edge_step(excinfo):
+    return int(re.search(r"at step (\d+)", str(excinfo.value)).group(1))
+
+
 @pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
 def test_propagate_detects_edge_contact_between_records(free_params, splitting):
-    # records only at the ends: near its turning point at x = 1.6 the packet
-    # puts ~4e-9 of its peak density on the edge cells, and it is back in
-    # the middle, clear of the edge, when the final record is taken
+    # near its turning point at x = 1.6 the packet puts ~4e-9 of its peak
+    # density on the edge cells, and it is back in the middle, clear of the
+    # edge, when the final record is taken.  Every cadence names the same
+    # contact: a record step reads the current state, a step between records
+    # the staggered one, half a kinetic step ahead, so the step may differ by one.
     narrow = pl.PositionGrid(half_width=6.0, n_points=512)
     psi = pl.displaced_state(free_params, narrow, 0.0, velocity=1.6)
-    with pytest.raises(pl.GridTooNarrow, match="at step"):
-        pl.propagate(psi, free_params, pl.FieldModel.zero(),
-                     TimeGrid(0.0, free_params.period, 4000), record_every=4000,
-                     splitting=splitting)
+    tg = TimeGrid(0.0, free_params.period, 4000)
+    for record_every in (1, 7, tg.n_steps):
+        with pytest.raises(pl.GridTooNarrow, match="probability density .* at step") as exc:
+            pl.propagate(psi, free_params, pl.FieldModel.zero(), tg,
+                         record_every=record_every, splitting=splitting)
+        assert abs(_edge_step(exc) - 526) <= 1, record_every
 
 
 @pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
 def test_propagate_detects_spectral_weight_at_k_edge(free_params, splitting):
     # released from x = 15, the packet passes x = 0 with momentum 15 after a
     # quarter period: the grid holds it in position, but 256 points give
-    # pi/dx = 17.6, and its spectrum wraps round +-k_max.  Records only at
-    # the ends, so the per-step check has to catch it.
+    # pi/dx = 17.6, and its spectrum wraps round +-k_max.  Every step reads
+    # the same spectrum, so every record cadence names the same step.
     tg = TimeGrid(0.0, 0.25 * free_params.period, 8000)
-    for n_points, aliased in ((256, True), (512, False)):
-        pgrid = pl.PositionGrid.for_state(free_params, 15.0, n_points=n_points)
-        psi = pl.displaced_state(free_params, pgrid, 15.0)
-        if aliased:
-            with pytest.raises(pl.GridTooNarrow, match="spectral density .* at step"):
-                pl.propagate(psi, free_params, pl.FieldModel.zero(), tg,
-                             record_every=8000, splitting=splitting)
-        else:
-            rec = pl.propagate(psi, free_params, pl.FieldModel.zero(), tg,
-                               record_every=8000, splitting=splitting)
-            assert abs(rec.mean_x[-1]) < 1e-3  # it did reach x = 0
+    pgrid = pl.PositionGrid.for_state(free_params, 15.0, n_points=256)
+    psi = pl.displaced_state(free_params, pgrid, 15.0)
+    for record_every in (1, 7, tg.n_steps):
+        with pytest.raises(pl.GridTooNarrow, match="spectral density .* at step") as exc:
+            pl.propagate(psi, free_params, pl.FieldModel.zero(), tg,
+                         record_every=record_every, splitting=splitting)
+        assert _edge_step(exc) == 5245, record_every
+    pgrid = pl.PositionGrid.for_state(free_params, 15.0, n_points=512)
+    psi = pl.displaced_state(free_params, pgrid, 15.0)
+    rec = pl.propagate(psi, free_params, pl.FieldModel.zero(), tg,
+                       record_every=tg.n_steps, splitting=splitting)
+    assert abs(rec.mean_x[-1]) < 1e-3  # it did reach x = 0
 
 
 def test_for_state_sizes_from_both_reaches(natural):
@@ -298,26 +307,6 @@ def test_record_times_include_endpoints(natural):
     assert rec.steps.dtype.kind == "i"
     assert rec.steps.tolist() == [0, 300, 600, 900, 1000]
     assert np.array_equal(rec.times, tg.times[rec.steps])
-
-
-@pytest.mark.parametrize("n_points", [256, 2048, 4096])
-@pytest.mark.parametrize("theta", [7.3, -7.3, 6.1])
-def test_drive_phase_outer_product_matches_direct_exp(n_points, theta):
-    # |theta| * half_width = 58 and 49: the phase winds 9 and 8 times over
-    # the half-width.  A half-width of 8 makes every grid coordinate an
-    # exact binary fraction, so the comparison sees the factorisation and
-    # the rounding of theta * x, not the rounding of x itself.
-    grid = pl.PositionGrid(half_width=8.0, n_points=n_points)
-    direct = np.exp(1j * theta * grid.x)
-    factored = _drive_phase(grid, theta)
-    assert factored.size == n_points and factored.shape[0] < n_points
-    assert np.max(np.abs(factored.reshape(-1) - direct)) <= 1e-14
-    # on a general half-width the rounding of x shows, at ~ulp(L) * theta
-    general = pl.PositionGrid.for_state(pl.OscillatorParams(), 3.1, n_points=n_points)
-    theta = theta * grid.half_width / general.half_width
-    direct = np.exp(1j * theta * general.x)
-    factored = _drive_phase(general, theta).reshape(-1)
-    assert np.max(np.abs(factored - direct)) <= 1e-15 * abs(theta) * general.half_width
 
 
 N_RUN = 1000
