@@ -4,8 +4,9 @@ Holds the oscillator ground state and its displaced (coherent) form on a
 uniform position grid, evaluates position moments by grid quadrature,
 and propagates states by split-operator steps: the second-order Strang
 step, kinetic-potential-kinetic with any time-dependent drive evaluated
-at the half step, or Yoshida's fourth-order symmetric composition of
-three Strang sub-steps, each with the drive at its own midpoint.
+at the half step, or Chin's fourth-order force-gradient step, two kicks
+between three kinetic factors, each kick carrying the double commutator
+[V, [T, V]] = (hbar^2/m) V'^2, which is exact for this potential.
 
 The exact solution of the linearly driven problem is the ground state
 displaced along the classical trajectory q_c(t), momentum-boosted by
@@ -34,10 +35,15 @@ MIN_N_POINTS = 256
 
 _BOUNDARY_DENSITY_LIMIT = 1e-10  # fraction of peak density tolerated at the edge
 
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-#: sub-step weights of each symmetric composition of the Strang step
-#: (Yoshida, Phys. Lett. A 150, 262 (1990) for the fourth-order triple jump)
-SPLITTINGS = {"strang": (1.0,), "yoshida4": (_W1, 1.0 - 2.0 * _W1, _W1)}
+_A1 = 0.5 * (1.0 - 1.0 / math.sqrt(3.0))
+_G4 = (2.0 - math.sqrt(3.0)) / 48.0
+#: step factorisations K(c0) V(d1) K(c1) ... V(ds) K(cs) as (c, d, g): the
+#: kinetic coefficients, the kick coefficients, and each kick's
+#: force-gradient coefficient.  "gradient4" is scheme 4B of S. A. Chin,
+#: Phys. Lett. A 226, 344 (1997); S. A. Chin and C. R. Chen, J. Chem.
+#: Phys. 114, 7338 (2001) for the split-operator method.
+SPLITTINGS = {"strang": ((0.5, 0.5), (1.0,), (0.0,)),
+              "gradient4": ((_A1, 1.0 / math.sqrt(3.0), _A1), (0.5, 0.5), (_G4, _G4))}
 
 
 @dataclass(frozen=True)
@@ -213,18 +219,29 @@ class PropagationRecord:
         return float(np.max(np.abs(self.norms - 1.0)))
 
 
-def _sub_step_forces(params, field, time_grid, reference_trajectory, weights):
-    """The drive at the midpoint of every sub-step, shape (n_steps, len(weights))."""
+def _kick_forces(params, field, time_grid, reference_trajectory, splitting):
+    """The drive at every kick of every step, shape (n_steps, kicks).
+
+    Kick j of a step takes the drive at offset c0 + ... + c_{j-1}: the
+    time has advanced with the kinetic factors before it.
+    """
+    c, d, _ = SPLITTINGS[splitting]
     drive = build_drive_table(params, field, time_grid, reference_trajectory)
-    offsets = [sum(weights[:j]) + 0.5 * w for j, w in enumerate(weights)]
-    return drive.stage_values(offsets)
+    return drive.stage_values([sum(c[:j + 1]) for j in range(len(d))])
+
+
+def _longest_factor(splitting):
+    """Largest |coefficient| of any factor of a step: every kick, every
+    inner kinetic factor, and the kinetic factor merged across steps."""
+    c, d, _ = SPLITTINGS[splitting]
+    return max(abs(a) for a in (*d, *c[1:-1], c[-1] + c[0]))
 
 
 def _check_step_scale(params, center, forces, longest_step, step):
-    """Heuristic accuracy guard: (longest sub-step) * (energy scale) / hbar < 0.1.
+    """Heuristic accuracy guard: (longest step factor) * (energy scale) / hbar < 0.1.
 
     The energy scale is that of a packet at ``center`` spanning ten
-    ground-state widths, under the largest drive over the sampled stages.
+    ground-state widths, under the largest drive over the sampled kicks.
     """
     span = abs(center) + 10.0 * ground_state_width(params)
     f_max = float(np.max(np.abs(forces)))
@@ -246,11 +263,10 @@ def check_path_step(params: OscillatorParams, field: FieldModel, time_grid: Time
     StepTooCoarse names that step.  ``propagate`` itself can only check
     the state it starts from.
     """
-    weights = SPLITTINGS[splitting]
-    forces = _sub_step_forces(params, field, time_grid, reference_trajectory, weights)
+    forces = _kick_forces(params, field, time_grid, reference_trajectory, splitting)
     step = int(np.argmax(np.abs(path)))
     _check_step_scale(params, float(path[step]), forces,
-                      max(abs(w) for w in weights) * time_grid.dt, step)
+                      _longest_factor(splitting) * time_grid.dt, step)
 
 
 def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel,
@@ -262,20 +278,25 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     back-action -m gamma qd(t) evaluated along ``reference_trajectory``
     (which must be sampled on ``time_grid.refined(2)``).
 
-    Each step of length dt is a symmetric composition of Strang steps
-    S(w dt) = K(w dt/2) V(w dt) K(w dt/2), kinetic-potential-kinetic, over
-    the weights ``SPLITTINGS[splitting]``, with the drive of each sub-step
-    taken at its midpoint.  Kinetic factors of consecutive sub-steps, and
-    of consecutive steps between records, are merged into one.  "strang"
-    is the single sub-step (second order); "yoshida4" is Yoshida's triple
-    jump (fourth order, three FFT pairs per step).  Norm is preserved up
-    to roundoff either way.
+    Each step of length dt is the factorisation ``SPLITTINGS[splitting] =
+    (c, d, g)``: K(c0 dt) V_1 K(c1 dt) ... V_s K(cs dt), with kinetic
+    factors K(c dt) = exp(-i c dt p^2 / 2m hbar) and kicks
+    V_j = exp(-i (dt/hbar) [d_j V - g_j dt^2 V'^2 / m]), where
+    V = m omega0^2 x^2/2 - F x takes the drive at the kick's offset
+    c0 + ... + c_{j-1}.  The kinetic factors that meet at a step boundary
+    are merged into one between records.  "strang" (second order) is
+    K(dt/2) V(dt) K(dt/2); "gradient4" is Chin's force-gradient scheme 4B
+    (fourth order, two kicks, all coefficients positive).  Norm is
+    preserved up to roundoff either way.
 
-    Each kick is one exponential of the full potential V(x, t) w dt / hbar
-    (Feit, Fleck and Steiger, J. Comput. Phys. 47, 412 (1982)); without a
-    drive it is a fixed factor.  A record step shares one forward FFT
-    between the recorded state and the state that continues the run, so a
-    run takes 2 * len(weights) * n_steps + records transforms.
+    Each kick is one exponential of the full potential (Feit, Fleck and
+    Steiger, J. Comput. Phys. 47, 412 (1982)); without a drive it is a
+    fixed factor.  Expanded in F, the gradient term only rescales the
+    kick's weight to d_j - 2 g_j (omega0 dt)^2 and adds a global phase
+    g_j dt^3 F^2 / hbar m, which is summed over the run and applied to
+    the final state.  A record step shares one forward FFT between the
+    recorded state and the state that continues the run, so a run takes
+    2 * len(d) * n_steps + records transforms.
 
     Moments are recorded at t0, every ``record_every``-th step, and the
     final time; ``record_every < 1`` raises ValueError.  Two edge guards
@@ -285,37 +306,43 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     +-k_max (the two bins beside the Nyquist index, against 1e-10 of the
     spectral peak at the last record), which catches aliasing.  The
     spectrum is the forward FFT that each step takes anyway: its modulus
-    is the current state's, as the pending half kinetic factor is
-    unimodular.  StepTooCoarse is raised if the longest sub-step fails
-    the energy-scale heuristic for the initial state; ``check_path_step``
-    applies the same guard along a known path of the mean.
+    is the current state's, as the pending kinetic factor is
+    unimodular.  StepTooCoarse is raised if the longest factor of the
+    step (the largest |coefficient| of any kick, inner kinetic factor or
+    merged kinetic factor, times dt) fails the energy-scale heuristic for
+    the initial state; ``check_path_step`` applies the same guard along a
+    known path of the mean.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every!r}")
     if splitting not in SPLITTINGS:
         raise ValueError(f"splitting must be one of {', '.join(SPLITTINGS)}, "
                          f"got {splitting!r}")
-    weights = SPLITTINGS[splitting]
+    c, d, g = SPLITTINGS[splitting]
     grid = psi.grid
     n = time_grid.n_steps
     dt = time_grid.dt
     hb = params.hbar
-    forces = _sub_step_forces(params, field, time_grid, reference_trajectory, weights)
+    forces = _kick_forces(params, field, time_grid, reference_trajectory, splitting)
     _check_step_scale(params, grid.dx * float(np.dot(grid.x, psi.density())), forces,
-                      max(abs(w) for w in weights) * dt, 0)
+                      _longest_factor(splitting) * dt, 0)
 
     x = grid.x
     k = grid.k
-    half = [np.exp(-1j * hb * k**2 * (w * dt) / (4.0 * params.mass)) for w in weights]
+    kin = [np.exp(-1j * hb * k**2 * (cj * dt) / (2.0 * params.mass)) for cj in c]
+    # V'^2 = m^2 omega0^4 x^2 - 2 m omega0^2 F x + F^2: the gradient term
+    # rescales each kick's weight (exactly d where g = 0) and leaves the F^2 phase
+    weights = [dj - 2.0 * gj * (params.omega0 * dt) ** 2 for dj, gj in zip(d, g)]
     # kick exponents: the oscillator's, plus the drive's per unit F
     pot_exp = [-1j * (0.5 * params.mass * params.omega0**2 * x**2) * (w * dt) / hb
                for w in weights]
     drive_exp = [(1j * w * dt / hb) * x for w in weights]
     pots = [np.exp(e) for e in pot_exp]
-    joins = [a * b for a, b in zip(half[:-1], half[1:])]  # inside one step
-    lead, tail, wrap = half[0], half[-1], half[-1] * half[0]
+    phase = dt**3 / (hb * params.mass) * float(np.sum(forces**2 * g))
+    joins = kin[1:-1]  # inside one step
+    lead, tail, wrap = kin[0], kin[-1], kin[-1] * kin[0]
     driven = bool(np.any(forces))
-    last = len(weights) - 1
+    last = len(d) - 1
 
     def kick(amplitudes, step, j):
         if driven:
@@ -362,7 +389,7 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     allowed = record(0, cur, spectrum)
     check_edges(0, cur, spectrum, allowed)
     next_rec = 1
-    # staggered state: leading half kinetic applied, trailing one pending
+    # staggered state: leading kinetic factor applied, trailing one pending
     stag = ifft(spectrum * lead)
     for step in range(n):
         for j in range(last):
@@ -380,6 +407,8 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
             # boundary, and the two bins at +-k_max one aliasing
             check_edges(step + 1, stag, spectrum, allowed)
 
+    if phase:  # the kicks' F^2 terms
+        cur = cur * np.exp(1j * phase)
     final = GridWavefunction(grid=grid, psi=cur)
     return PropagationRecord(psi=final, steps=np.asarray(rec_steps), times=times,
                              mean_x=mean_x, mean_x2=mean_x2, norms=norms)

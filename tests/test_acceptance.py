@@ -115,7 +115,7 @@ def test_criterion_8b_split_step_second_order(natural):
                   "dt-halving", ok, f"slope={order:.3f}")
 
 
-def test_criterion_8f_yoshida_split_step_at_roundoff(natural):
+def test_criterion_8f_gradient4_split_step_at_roundoff(natural):
     # Under the step guard the fourth-order error already sits at the
     # roundoff floor (growing slowly with n), so no slope is fitted.
     field = pl.FieldModel.monochromatic(1.0, 0.5)
@@ -125,13 +125,13 @@ def test_criterion_8f_yoshida_split_step_at_roundoff(natural):
         traj = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
         pgrid = pl.PositionGrid.for_state(natural, float(np.max(np.abs(traj.q))))
         rec = pl.propagate(pl.ground_state(natural, pgrid), natural, field, tg,
-                           record_every=n // 100, splitting="yoshida4")
+                           record_every=n // 100, splitting="gradient4")
         exact = 0.5 + (4.0 / 3.0) ** 2 * (np.cos(0.5 * rec.times)
                                           - np.cos(rec.times)) ** 2
         errors[n] = float(np.max(np.abs(rec.mean_x2 - exact)))
     ok = all(e < 1e-10 for e in errors.values())
     detail = " ".join(f"n={n}:{e:.1e}" for n, e in errors.items())
-    verdict("8f", "yoshida4 split-step <x^2> within 1e-10 of the closed form "
+    verdict("8f", "gradient4 split-step <x^2> within 1e-10 of the closed form "
                   "on the 8b setup", ok, detail)
 
 

@@ -271,6 +271,7 @@ def one_error_line(capsys):
     ("fock", "n_fock", "8"),
     ("fock", "oracle_steps_per_period", "0"),
     ("time", "splitting", "rk2"),
+    ("time", "splitting", "yoshida4"),  # retired
     ("time", "n_steps", "1e400"),
     ("grid", "n_points", "inf"),
     ("field", "seed", "3"),
