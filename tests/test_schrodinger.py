@@ -8,6 +8,22 @@ from scipy.integrate import quad
 import picture_lab as pl
 from picture_lab import InitialConditions, TimeGrid
 
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_W0 = 1.0 - 2.0 * _W1
+#: Yoshida's fourth-order triple jump of Strang steps (Phys. Lett. A 150,
+#: 262 (1990)) in the table's (c, d, g) form: three kicks, the middle one
+#: negative.  It is not a shipped splitting; tests that take the
+#: ``yoshida4`` fixture add it to the table, to check that one loop and one
+#: step guard serve any entry.
+YOSHIDA4 = ((0.5 * _W1, 0.5 * (_W1 + _W0), 0.5 * (_W0 + _W1), 0.5 * _W1),
+            (_W1, _W0, _W1), (0.0, 0.0, 0.0))
+LOOP_SPLITTINGS = [*sorted(pl.SPLITTINGS), "yoshida4"]
+
+
+@pytest.fixture()
+def yoshida4(monkeypatch):
+    monkeypatch.setitem(pl.SPLITTINGS, "yoshida4", YOSHIDA4)
+
 
 @pytest.fixture()
 def free_params():
@@ -216,7 +232,8 @@ def _edge_step(excinfo):
     return int(re.search(r"at step (\d+)", str(excinfo.value)).group(1))
 
 
-@pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
+@pytest.mark.usefixtures("yoshida4")
+@pytest.mark.parametrize("splitting", LOOP_SPLITTINGS)
 def test_propagate_detects_edge_contact_between_records(free_params, splitting):
     # near its turning point at x = 1.6 the packet puts ~4e-9 of its peak
     # density on the edge cells, and it is back in the middle, clear of the
@@ -233,7 +250,8 @@ def test_propagate_detects_edge_contact_between_records(free_params, splitting):
         assert abs(_edge_step(exc) - 526) <= 1, record_every
 
 
-@pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
+@pytest.mark.usefixtures("yoshida4")
+@pytest.mark.parametrize("splitting", LOOP_SPLITTINGS)
 def test_propagate_detects_spectral_weight_at_k_edge(free_params, splitting):
     # released from x = 15, the packet passes x = 0 with momentum 15 after a
     # quarter period: the grid holds it in position, but 256 points give
@@ -278,6 +296,18 @@ def test_splittings_are_consistent_and_symmetric(splitting):
     assert (c, d, g) == (c[::-1], d[::-1], g[::-1])
 
 
+@pytest.mark.usefixtures("yoshida4")
+def test_yoshida_weights_satisfy_order_conditions():
+    c, d, g = pl.SPLITTINGS["yoshida4"]
+    assert (c, d, g) == (c[::-1], d[::-1], g[::-1]) and not any(g)
+    assert sum(d) == pytest.approx(1.0, abs=1e-15)
+    assert sum(w**3 for w in d) == pytest.approx(0.0, abs=1e-14)
+    # each kick sits at the midpoint of its Strang sub-step
+    for j, w in enumerate(d):
+        assert sum(c[:j + 1]) == pytest.approx(sum(d[:j]) + 0.5 * w, abs=1e-15)
+    assert pl.SPLITTINGS["strang"] == ((0.5, 0.5), (1.0,), (0.0,))
+
+
 def test_gradient4_is_fourth_order(natural):
     # the full complex state against the exact solution on the 8b setup,
     # global phase included: dropping the kicks' F^2 phase, or a gradient
@@ -294,6 +324,20 @@ def test_gradient4_is_fourth_order(natural):
         errors.append(math.sqrt(pgrid.dx * float(np.sum(np.abs(diff) ** 2))))
         dts.append(tg.dt)
     assert 3.7 <= pl.observed_order(dts, errors) <= 4.3
+
+
+@pytest.mark.usefixtures("yoshida4")
+def test_yoshida_guard_applies_to_longest_sub_step(natural):
+    # 2500 steps over one period: dt * scale = 0.082 passes for Strang, but
+    # Yoshida's middle kick is 1.70 dt long
+    field = pl.FieldModel.monochromatic(1.0, 0.5)
+    tg = TimeGrid(0.0, natural.period, 2500)
+    pgrid = pl.PositionGrid.for_state(natural, 4.0 / 3.0 * 2.0)
+    psi = pl.ground_state(natural, pgrid)
+    with pytest.raises(pl.StepTooCoarse, match="sub-step"):
+        pl.propagate(psi, natural, field, tg, record_every=2500, splitting="yoshida4")
+    rec = pl.propagate(psi, natural, field, tg, record_every=2500, splitting="strang")
+    assert rec.max_norm_error() < 1e-10
 
 
 def test_gradient4_guard_applies_to_longest_factor(natural):
@@ -338,7 +382,8 @@ def _run(natural, field, splitting, record_every):
                         record_every=record_every, splitting=splitting)
 
 
-@pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
+@pytest.mark.usefixtures("yoshida4")
+@pytest.mark.parametrize("splitting", LOOP_SPLITTINGS)
 def test_record_steps_do_not_change_the_run(natural, splitting):
     # every step a record step against none between the ends: the shared
     # record spectrum must continue the run exactly as the plain step does
@@ -352,7 +397,8 @@ def test_record_steps_do_not_change_the_run(natural, splitting):
     assert np.max(np.abs(dense.mean_x)) > 0.1  # the drive moved the packet
 
 
-@pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
+@pytest.mark.usefixtures("yoshida4")
+@pytest.mark.parametrize("splitting", LOOP_SPLITTINGS)
 @pytest.mark.parametrize("record_every", [1, 7, N_RUN])
 @pytest.mark.parametrize("field", [DRIVE, pl.FieldModel.zero()], ids=["driven", "free"])
 def test_transform_count(natural, monkeypatch, splitting, record_every, field):
