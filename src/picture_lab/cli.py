@@ -8,6 +8,8 @@ and the README lists them.  Unknown sections or keys are hard errors, and
 every physical value is validated before any engine runs.  The bundled
 configs are the golden suite (golden_scenarios).  Exit codes: 0 all
 verdicts pass, 2 a verdict failed, 1 configuration or execution error.
+The files a run or sweep writes, their columns and cell format are
+defined in serialize; the export_<kind> keys select from its ARTIFACTS.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ from pathlib import Path
 
 from .classical import InitialConditions
 from .errors import ConfigInvalid, PictureLabError
-from .lab import Scenario, run_equivalence
+from .lab import Scenario, observed_order, run_equivalence
 from .model import FieldModel, OscillatorParams, TimeGrid
-from .serialize import (atomic_write_text, write_fock_moments_csv,
-                        write_report_json, write_series_csv, write_snapshot_csv,
-                        write_trajectory_csv)
+from .serialize import ARTIFACTS, SUMMARY_COLUMNS, write_artifact, write_csv
 
 BUNDLED_DIR = Path(__file__).parent / "configs"
 
@@ -213,17 +213,9 @@ def resolve_config_path(arg: str) -> Path:
 
 
 def _export(config: RunConfig, report, out_dir: Path):
-    name = report.scenario.name
-    if config.export_series:
-        write_series_csv(report, out_dir / f"{name}_series.csv")
-    if config.export_report:
-        write_report_json(report, out_dir / f"{name}_report.json")
-    if config.export_trajectory:
-        write_trajectory_csv(report, out_dir / f"{name}_trajectory.csv")
-    if config.export_fock_moments:
-        write_fock_moments_csv(report, out_dir / f"{name}_fock_moments.csv")
-    if config.export_snapshots:
-        write_snapshot_csv(report, out_dir / f"{name}_final_state.csv")
+    for kind, (suffix, _) in ARTIFACTS.items():
+        if getattr(config, f"export_{kind}"):
+            write_artifact(report, kind, out_dir / f"{report.scenario.name}_{suffix}")
 
 
 def _fail(exc: Exception, scenario_name: str | None = None) -> int:
@@ -294,30 +286,12 @@ def _apply_axis(config: RunConfig, axis: str, value: float) -> RunConfig:
     return replace(config, scenario=s)
 
 
-# sweep_summary.csv columns after axis and value; _sweep_entry returns one
-# row as a dict with these keys
-_SUMMARY_COLUMNS = ("n_steps", "dt", "sup_discrepancy", "ehrenfest_sup",
-                    "decomposition_sup", "residual_min", "residual_max",
-                    "vacuum_term", "q_c_final", "x2_s_final", "all_pass")
-
-
 def _sweep_entry(entry):
+    """Run and export one sweep entry; returns its summary row by column name."""
     config, out_dir = entry
     report = run_equivalence(config.scenario)
     _export(config, report, Path(out_dir))
-    grid = report.scenario.time_grid
-    derived = {"n_steps": grid.n_steps, "dt": grid.dt,
-               "q_c_final": report.q_c[-1], "x2_s_final": report.x2_s[-1]}
-    return {key: derived[key] if key in derived else getattr(report, key)
-            for key in _SUMMARY_COLUMNS}
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+    return {header: column(report) for header, column in SUMMARY_COLUMNS}
 
 
 def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
@@ -371,12 +345,12 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
     except Exception as exc:
         return _fail(exc, name)
 
-    lines = [",".join(("axis", "value") + _SUMMARY_COLUMNS)]
-    for v, row in zip(values, rows):
-        lines.append(",".join([axis, repr(float(v))] +
-                              [_csv_cell(row[key]) for key in _SUMMARY_COLUMNS]))
+    # the value prints as a float on every axis, integer axes included
+    headers = [header for header, _ in SUMMARY_COLUMNS]
     try:
-        atomic_write_text(out / "sweep_summary.csv", "\n".join(lines) + "\n")
+        write_csv(out / "sweep_summary.csv", ["axis", "value"] + headers,
+                  [[axis, float(v)] + [row[h] for h in headers]
+                   for v, row in zip(values, rows)])
     except OSError as exc:
         return _fail(exc)
 
@@ -390,22 +364,15 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
 
 
 def _print_dt_orders(values, rows):
-    """Observed orders from endpoint Richardson differences."""
+    """Observed orders fitted to the successive endpoint differences."""
     order = sorted(range(len(values)), key=lambda i: -values[i])
-    dts = [rows[i]["dt"] for i in order]
-    qf = [rows[i]["q_c_final"] for i in order]
-    x2f = [rows[i]["x2_s_final"] for i in order]
-    for label, series in (("classical trajectory", qf), ("split-step <x^2>", x2f)):
-        diffs = [abs(series[i] - series[i + 1]) for i in range(len(series) - 1)]
-        slopes = []
-        for i in range(len(diffs) - 1):
-            if diffs[i] > 0 and diffs[i + 1] > 0:
-                ratio = math.log(diffs[i] / diffs[i + 1])
-                step = math.log(dts[i] / dts[i + 1])
-                slopes.append(ratio / step)
-        if slopes:
-            mean = sum(slopes) / len(slopes)
-            print(f"observed order ({label}): {mean:.2f}")
+    for label, key in (("classical trajectory", "q_c_final"),
+                       ("split-step <x^2>", "x2_s_final")):
+        pairs = [(rows[i]["dt"], abs(rows[i][key] - rows[j][key]))
+                 for i, j in zip(order, order[1:])]
+        pairs = [(dt, diff) for dt, diff in pairs if diff > 0]  # the fit takes logs
+        if len(pairs) >= 2:
+            print(f"observed order ({label}): {observed_order(*zip(*pairs)):.2f}")
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,16 @@
-"""Flat-file export of reports, series, and snapshots.
+"""Flat-file export: the artifact table and its writers.
 
-All writers are deterministic (fixed column order, repr-roundtrip float
-formatting, sorted JSON keys, no timestamps) and atomic: content goes to
-a temporary file in the target directory which is then renamed, so an
-interrupted run never leaves a partial artifact at a final path.
+``ARTIFACTS`` is the one list of files a run writes: each export kind
+(the ``export_<kind>`` keys of ``[run]``) maps to its file suffix and
+its columns, (header, report -> array) pairs; ``write_artifact`` writes
+one of them.  ``SUMMARY_COLUMNS`` gives the ``sweep_summary.csv``
+columns as (header, report -> cell) pairs.  Every CSV goes through
+``write_csv``, with one cell rule: floats as ``repr`` (round-trip
+exact), booleans as ``true``/``false``, integers and text as they are.
+JSON has sorted keys, and no file carries a timestamp, so reruns are
+byte-identical.  Writes are atomic: content goes to a temporary file in
+the target directory which is then renamed, so an interrupted run never
+leaves a partial artifact at a final path.
 """
 
 from __future__ import annotations
@@ -11,15 +18,49 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .lab import EquivalenceReport, Scenario
+from .lab import EquivalenceReport
 
+_SERIES = (("t", lambda r: r.times), ("q_c", lambda r: r.q_c),
+           ("x2_schrodinger", lambda r: r.x2_s), ("x2_heisenberg", lambda r: r.x2_h),
+           ("vacuum_term", lambda r: np.full(len(r.times), r.vacuum_term)),
+           ("residual_5_1", lambda r: r.residual_5_1))
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+# kind -> (file suffix, columns); the report is JSON (report_dict), not columns
+ARTIFACTS = {
+    "series": ("series.csv", _SERIES),
+    "report": ("report.json", None),
+    "trajectory": ("trajectory.csv", (("t", lambda r: r.times), ("q_c", lambda r: r.q_c),
+                                      ("qdot_c", lambda r: r.qdot_c))),
+    "fock_moments": ("fock_moments.csv", (
+        ("t", lambda r: r.times), ("x_heisenberg", lambda r: r.x_h),
+        ("x2_heisenberg", lambda r: r.x2_h), ("xi", lambda r: r.xi))),
+    "snapshots": ("final_state.csv", (
+        ("x", lambda r: r.final_state.grid.x), ("re_psi", lambda r: r.final_state.psi.real),
+        ("im_psi", lambda r: r.final_state.psi.imag),
+        ("density", lambda r: r.final_state.density()))),
+}
+
+# sweep_summary.csv columns after axis and value: (header, report -> cell)
+SUMMARY_COLUMNS = (
+    ("n_steps", lambda r: r.scenario.time_grid.n_steps),
+    ("dt", lambda r: r.scenario.time_grid.dt),
+    *((key, attrgetter(key)) for key in ("sup_discrepancy", "ehrenfest_sup",
+                                         "decomposition_sup", "residual_min",
+                                         "residual_max", "vacuum_term")),
+    ("q_c_final", lambda r: r.q_c[-1]), ("x2_s_final", lambda r: r.x2_s[-1]),
+    ("all_pass", attrgetter("all_pass")),
+)
+
+# report.json "results" and "verdicts": report attributes of the same names
+_RESULTS = ("vacuum_term", "sup_discrepancy", "ehrenfest_sup", "decomposition_sup",
+            "residual_min", "residual_max", "flawed_eq6_value", "norm_error_max",
+            "decay_time", "oracle_matrix_sup", "oracle_moment_sup")
+_VERDICTS = ("equivalence_pass", "eq51_falsified", "residual_matches_vacuum", "all_pass")
 
 
 def atomic_write_text(path, text: str):
@@ -30,84 +71,41 @@ def atomic_write_text(path, text: str):
     os.replace(tmp, path)
 
 
-def write_csv(path, header, columns):
-    """Write columns of equal length under a fixed header."""
-    columns = [np.asarray(c) for c in columns]
-    rows = [",".join(header)]
-    for i in range(len(columns[0])):
-        rows.append(",".join(_fmt(c[i]) for c in columns))
-    atomic_write_text(path, "\n".join(rows) + "\n")
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))  # a numpy float64 would repr with its type
+    return str(value)
 
 
-def write_series_csv(report: EquivalenceReport, path):
-    """Moment series in the fixed order t, q_c, x2_S, x2_H, vacuum, residual."""
-    n = len(report.times)
-    vacuum = np.full(n, report.vacuum_term)
-    write_csv(path,
-              ["t", "q_c", "x2_schrodinger", "x2_heisenberg", "vacuum_term",
-               "residual_5_1"],
-              [report.times, report.q_c, report.x2_s, report.x2_h, vacuum,
-               report.residual_5_1])
-
-
-def write_trajectory_csv(report: EquivalenceReport, path):
-    write_csv(path, ["t", "q_c", "qdot_c"],
-              [report.times, report.q_c, report.qdot_c])
-
-
-def write_fock_moments_csv(report: EquivalenceReport, path):
-    write_csv(path, ["t", "x_heisenberg", "x2_heisenberg", "xi"],
-              [report.times, report.x_h, report.x2_h, report.xi])
-
-
-def write_snapshot_csv(report: EquivalenceReport, path):
-    psi = report.final_state
-    write_csv(path, ["x", "re_psi", "im_psi", "density"],
-              [psi.grid.x, psi.psi.real, psi.psi.imag, psi.density()])
-
-
-def scenario_dict(s: Scenario) -> dict:
-    """Plain-data echo of a scenario, sufficient to reproduce the run."""
-    d = asdict(s)
-    for key in ("amplitudes", "omegas", "phases"):
-        d["field"][key] = list(d["field"][key])
-    return d
+def write_csv(path, header, rows):
+    """Write ``rows`` (sequences of cells) under a fixed header."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def report_dict(report: EquivalenceReport) -> dict:
+    """The report.json content: scenario echo, tolerances, series, results, verdicts."""
     return {
-        "scenario": scenario_dict(report.scenario),
+        "scenario": asdict(report.scenario),
         "tolerances": dict(report.tolerances),
-        "series": {
-            "t": report.times.tolist(),
-            "q_c": report.q_c.tolist(),
-            "x2_schrodinger": report.x2_s.tolist(),
-            "x2_heisenberg": report.x2_h.tolist(),
-            "residual_5_1": report.residual_5_1.tolist(),
-        },
-        "results": {
-            "n_samples": int(len(report.times)),
-            "vacuum_term": report.vacuum_term,
-            "sup_discrepancy": report.sup_discrepancy,
-            "ehrenfest_sup": report.ehrenfest_sup,
-            "decomposition_sup": report.decomposition_sup,
-            "residual_min": report.residual_min,
-            "residual_max": report.residual_max,
-            "flawed_eq6_value": report.flawed_eq6_value,
-            "norm_error_max": report.norm_error_max,
-            "decay_time": report.decay_time,
-            "oracle_matrix_sup": report.oracle_matrix_sup,
-            "oracle_moment_sup": report.oracle_moment_sup,
-        },
-        "verdicts": {
-            "equivalence_pass": report.equivalence_pass,
-            "eq51_falsified": report.eq51_falsified,
-            "residual_matches_vacuum": report.residual_matches_vacuum,
-            "all_pass": report.all_pass,
-        },
+        # the series columns but the constant vacuum term, which is a result
+        "series": {header: column(report).tolist() for header, column in _SERIES
+                   if header != "vacuum_term"},
+        "results": {"n_samples": len(report.times),
+                    **{key: getattr(report, key) for key in _RESULTS}},
+        "verdicts": {key: getattr(report, key) for key in _VERDICTS},
     }
 
 
-def write_report_json(report: EquivalenceReport, path):
-    text = json.dumps(report_dict(report), indent=2, sort_keys=True)
-    atomic_write_text(path, text + "\n")
+def write_artifact(report: EquivalenceReport, kind: str, path):
+    """Write the ``kind`` artifact of ``report`` to ``path``."""
+    columns = ARTIFACTS[kind][1]
+    if columns is None:
+        text = json.dumps(report_dict(report), indent=2, sort_keys=True)
+        atomic_write_text(path, text + "\n")
+        return
+    header = [name for name, _ in columns]
+    write_csv(path, header, zip(*(column(report).tolist() for _, column in columns)))

@@ -3,13 +3,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import picture_lab as pl
-from picture_lab import cli
+from picture_lab import cli, serialize
 
 
 TINY = """
@@ -217,7 +218,40 @@ def test_sweep_dt_axis_reports_orders(tmp_path, capsys):
                      "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
-    assert "observed order" in text
+    # no check on the classical line: its finest endpoint difference sits at roundoff
+    order = re.search(r"observed order \(split-step <x\^2>\): (\S+)", text)
+    assert order and 1.9 <= float(order.group(1)) <= 2.1, text
+
+
+def test_sweep_artifact_cells_keep_their_format(tmp_path):
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(write(tmp_path, TINY)), "--axis", "e",
+                     "--values", "0,0.05", "--out", str(out)]) == 0
+    summary = (out / "sweep_summary.csv").read_text().splitlines()
+    header = summary[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in summary[1:]]
+    assert len(rows) == 2
+    cells = [cell for row in rows for key, cell in row.items()
+             if key not in ("axis", "n_steps", "all_pass")]
+    series = sorted(out.glob("*/*_series.csv"))
+    assert len(series) == 2
+    for path in series:
+        cells += [c for line in path.read_text().splitlines()[1:] for c in line.split(",")]
+    assert all(repr(float(cell)) == cell for cell in cells)
+    for row in rows:
+        assert row["axis"] == "e" and row["all_pass"] == "true"
+        assert re.fullmatch(r"[0-9]+", row["n_steps"])
+
+
+def test_artifact_table_matches_the_export_keys():
+    kinds = set(serialize.ARTIFACTS)
+    assert kinds == {f.name.removeprefix("export_") for f in fields(cli.RunConfig)
+                     if f.name.startswith("export_")}
+    assert kinds == {key.removeprefix("export_") for key in cli.CONFIG_SCHEMA["run"]
+                     if key.startswith("export_")}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    for suffix, _ in serialize.ARTIFACTS.values():
+        assert f"`<name>_{suffix}`" in readme, suffix
 
 
 def test_sweep_invalid_axis_rejected(tmp_path):
