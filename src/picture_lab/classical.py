@@ -3,10 +3,11 @@
 Integrates m qdd = -m omega0^2 q - m gamma qd + e E(t) with a fixed-step
 classic 4th-order Runge-Kutta scheme.  The classical action along the
 trajectory is accumulated by the same integrator because the exact
-Schrodinger-picture phase needs it.  A half-step force table derived
-from a trajectory feeds both quantum engines, so all three share one
-c-number drive; the same RK4 kernel integrates the zero-IC response to
-that table, the c-number part of the Heisenberg evolution.
+Schrodinger-picture phase needs it.  A half-step force table, from the
+field and, under damping, a given reference trajectory, checks its step
+and feeds both quantum engines, so all three share one c-number drive;
+the same RK4 kernel integrates the zero-IC response to that table, the
+c-number part of the Heisenberg evolution.
 """
 
 from __future__ import annotations
@@ -228,14 +229,14 @@ def build_drive_table(params: OscillatorParams, field: FieldModel, grid: TimeGri
     """Sample the total drive force on the half-step lattice of ``grid``.
 
     For gamma > 0 a reference trajectory sampled on ``grid.refined(2)``
-    supplies the velocity in the damping term; if none is given, the
-    zero-IC solution of the damped equation of motion is used.
+    supplies the velocity in the damping term (ValueError if missing or
+    sampled elsewhere).  Raises StepTooCoarse as ``solve_trajectory`` does.
     """
+    _check_step(params, field, grid)
     force = params.charge * evaluate_field(field, grid.half_times)
     if field.gamma > 0:
         if reference is None:
-            reference = solve_trajectory(params, field, InitialConditions(0.0, 0.0),
-                                         grid.refined(2))
+            raise ValueError("gamma > 0 needs a reference trajectory on grid.refined(2)")
         if reference.grid.n_steps != 2 * grid.n_steps or \
                 reference.grid.t0 != grid.t0 or reference.grid.t1 != grid.t1:
             raise ValueError("reference trajectory must be sampled on grid.refined(2)")
@@ -244,14 +245,14 @@ def build_drive_table(params: OscillatorParams, field: FieldModel, grid: TimeGri
                       field=field, reference=reference)
 
 
-def integrate_forced(params: OscillatorParams, drive: DriveTable) -> ClassicalTrajectory:
+def integrate_forced(drive: DriveTable) -> ClassicalTrajectory:
     """Zero-IC solution of m qdd = -m omega0^2 q + F(t) for a tabulated force.
 
     This is the c-number part of the Heisenberg operator evolution; the
     homogeneous part is undamped because damping enters only through the
     force table.  The action is that of the forced path.
     """
-    q, v, s = _rk4(params, 0.0, drive.grid, drive.values, 1.0, 0.0, 0.0)
+    q, v, s = _rk4(drive.params, 0.0, drive.grid, drive.values, 1.0, 0.0, 0.0)
     return ClassicalTrajectory(grid=drive.grid, q=q, qdot=v, action=s,
-                               params=params, field=FieldModel.zero(),
+                               params=drive.params, field=FieldModel.zero(),
                                ics=InitialConditions(0.0, 0.0))

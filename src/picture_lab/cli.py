@@ -19,6 +19,7 @@ import concurrent.futures
 import configparser
 import contextlib
 import functools
+import inspect
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -27,7 +28,7 @@ from pathlib import Path
 from .classical import InitialConditions
 from .errors import ConfigInvalid, PictureLabError
 from .lab import Scenario, observed_order, run_equivalence
-from .model import FieldModel, OscillatorParams, TimeGrid
+from .model import FIELD_KINDS, FieldModel, OscillatorParams, TimeGrid
 from .serialize import ARTIFACTS, SUMMARY_COLUMNS, write_artifact, write_csv
 
 BUNDLED_DIR = Path(__file__).parent / "configs"
@@ -53,13 +54,6 @@ CONFIG_SCHEMA = {
             "export_series": "bool", "export_report": "bool",
             "export_trajectory": "bool", "export_snapshots": "bool",
             "export_fock_moments": "bool", "verbosity": "int"},
-}
-
-# field kind -> (required, optional) keyword arguments of its FieldModel constructor
-_FIELD_KEYS = {
-    "zero": ((), ("gamma",)),
-    "monochromatic": (("amplitude", "omega"), ("phase", "gamma")),
-    "mode_sum": (("amplitudes", "omegas"), ("phases", "seed", "gamma")),
 }
 
 SWEEP_AXES = ("e", "gamma", "dt", "n_points", "n_fock")
@@ -127,17 +121,19 @@ def _read_config(path) -> dict:
 
 def _build_field(fsec: dict) -> FieldModel:
     kind = fsec.pop("kind", FieldModel.kind)
-    if kind not in _FIELD_KEYS:
-        raise ConfigInvalid(f"[field] kind: must be one of {sorted(_FIELD_KEYS)}, "
+    if kind not in FIELD_KINDS:
+        raise ConfigInvalid(f"[field] kind: must be one of {sorted(FIELD_KINDS)}, "
                             f"got {kind!r}")
-    required, optional = _FIELD_KEYS[kind]
-    extraneous = fsec.keys() - set(required) - set(optional)
+    # the kind's FieldModel constructor names its keys; those without a
+    # default are required
+    keys = inspect.signature(getattr(FieldModel, kind)).parameters.values()
+    extraneous = fsec.keys() - {p.name for p in keys}
     if extraneous:
         raise ConfigInvalid(f"[field] keys {sorted(extraneous)} are not valid for "
                             f"kind '{kind}'")
-    for key in required:
-        if key not in fsec:
-            raise ConfigInvalid(f"[field] {key} is required for kind '{kind}'")
+    for key in keys:
+        if key.default is key.empty and key.name not in fsec:
+            raise ConfigInvalid(f"[field] {key.name} is required for kind '{kind}'")
     try:
         return getattr(FieldModel, kind)(**fsec)
     except ValueError as exc:

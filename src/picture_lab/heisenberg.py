@@ -8,14 +8,15 @@ evolves as
     x_H(t) = a(t) x + b(t) p + xi(t) 1,
 
 with a = cos(omega0 t), b = sin(omega0 t)/(m omega0) and xi the zero-IC
-c-number response, which the classical RK4 kernel integrates.
-``closed_form_moments`` takes <x_H> and <x_H^2> in any state from this
-coefficient triple; the state vector's length sets the Fock basis.
+c-number response, which the classical RK4 kernel integrates from the
+drive table that the solution carries.  ``closed_form_moments`` takes
+<x_H> and <x_H^2> in any state from this coefficient triple; the state
+vector's length sets the Fock basis.
 
-``fock_state_moments`` is an independent check of the triple: it
-propagates the Fock state vector itself, by its own RK4 loop in the
-interaction picture, and so exercises the ladder algebra and the
-truncation rather than the triple's formulas.
+``fock_state_moments`` is an independent check of the triple: it reads
+the same drive table but propagates the Fock state vector itself, by its
+own RK4 loop in the interaction picture, and so exercises the ladder
+algebra and the truncation rather than the triple's formulas.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalTrajectory, _check_step, build_drive_table, integrate_forced
+from .classical import ClassicalTrajectory, DriveTable, build_drive_table, integrate_forced
 from .errors import TruncationError
 from .model import FieldModel, OscillatorParams, TimeGrid
 
@@ -94,17 +95,20 @@ def _check_tail(state: np.ndarray):
 class HeisenbergSolution:
     """Evolved position operator as the coefficient triple.
 
-    x_H(t) = a x + b p + xi on every grid sample.
+    x_H(t) = a x + b p + xi on every sample of the drive table's grid.
     """
 
     # Not a field; benchmark spans are named after it.
     method = "closed_form"
 
-    params: OscillatorParams
-    grid: TimeGrid
+    drive: DriveTable
     a: np.ndarray
     b: np.ndarray
     xi: np.ndarray
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.drive.grid
 
 
 def closed_form_moments(sol: HeisenbergSolution, state: np.ndarray):
@@ -114,7 +118,7 @@ def closed_form_moments(sol: HeisenbergSolution, state: np.ndarray):
     state's last two levels hold too much population.
     """
     _check_tail(state)
-    x_op, p_op = build_ladder_operators(sol.params, len(state))
+    x_op, p_op = build_ladder_operators(sol.drive.params, len(state))
     xv = x_op @ state
     pv = p_op @ state
     mx = float(np.real(np.vdot(state, xv)))
@@ -133,36 +137,33 @@ def evolve_heisenberg(params: OscillatorParams, field: FieldModel, time_grid: Ti
                       ) -> HeisenbergSolution:
     """Evolve the Heisenberg-picture position operator as its coefficient triple.
 
-    xi is integrated by the shared RK4 kernel; for an undriven, undamped
+    xi is integrated by the shared RK4 kernel from the drive table, which
+    for gamma > 0 needs ``reference_trajectory``; for an undriven, undamped
     field this is the identity evolution of the free oscillator.
     """
-    _check_step(params, field, time_grid)
     drive = build_drive_table(params, field, time_grid, reference_trajectory)
 
     w = params.omega0
     rel_t = time_grid.times - time_grid.t0
     a = np.cos(w * rel_t)
     b = np.sin(w * rel_t) / (params.mass * w)
-    xi = integrate_forced(params, drive).q
-    return HeisenbergSolution(params=params, grid=time_grid, a=a, b=b, xi=xi)
+    xi = integrate_forced(drive).q
+    return HeisenbergSolution(drive=drive, a=a, b=b, xi=xi)
 
 
-def fock_state_moments(params: OscillatorParams, field: FieldModel, time_grid: TimeGrid,
-                       state: np.ndarray,
-                       reference_trajectory: ClassicalTrajectory | None = None):
-    """<x> and <x^2> on every grid sample for ``state`` evolved under H(t).
+def fock_state_moments(drive: DriveTable, state: np.ndarray):
+    """<x> and <x^2> on the table's grid for ``state`` evolved under H(t).
 
     The basis has dimension len(state).  Classic RK4 integrates
     d psi_I/dt = (i/hbar) F(t) x_I(t) psi_I in the interaction picture of
     hbar omega0 (n + 1/2), where
-    x_I(t) = s (a e^{-i omega0 t} + a+ e^{i omega0 t}) and F is sampled
-    from the shared drive table at the half steps.  Then
+    x_I(t) = s (a e^{-i omega0 t} + a+ e^{i omega0 t}) and F is read
+    from ``drive`` at the half steps.  Then
     <x> = <psi_I|x_I psi_I> and <x^2> = ||x_I psi_I||^2.  Raises
     TruncationError as soon as the last two levels hold too much
     population at any step.
     """
-    _check_step(params, field, time_grid)
-    drive = build_drive_table(params, field, time_grid, reference_trajectory)
+    params, time_grid = drive.params, drive.grid
     dim = len(state)
     x_op, _ = build_ladder_operators(params, dim)
     # s a above the diagonal and s a+ below it, stacked for one product

@@ -188,15 +188,13 @@ def _run(s: Scenario) -> EquivalenceReport:
     params, field, grid = s.params, s.field, s.time_grid
     damped = field.gamma > 0
 
+    hsol = _heisenberg(s, grid)
+    ref = hsol.drive.reference
     if damped:
-        ref = solve_trajectory(params, field, s.ics, grid.refined(2))
         q_c, qdot_c = ref.q[::2], ref.qdot[::2]
     else:
-        ref = None
         traj = solve_trajectory(params, field, s.ics, grid)
         q_c, qdot_c = traj.q, traj.qdot
-
-    hsol = evolve_heisenberg(params, field, grid, reference_trajectory=ref)
     xi = hsol.xi
 
     if s.match_quantum_ics:
@@ -209,7 +207,7 @@ def _run(s: Scenario) -> EquivalenceReport:
     # the cheap guards first: the state's Fock tail, and the step along the
     # path the packet's mean will follow
     state = coherent_state_vector(params, s.n_fock, q_init, v_init)
-    check_path_step(params, field, grid, classical_mean, s.splitting, ref)
+    check_path_step(hsol.drive, classical_mean, s.splitting)
 
     reach = float(max(np.max(np.abs(classical_mean)), abs(q_init)))
     speed = float(np.max(np.abs(qdot_c)))
@@ -268,23 +266,26 @@ def _run(s: Scenario) -> EquivalenceReport:
         final_state=prop.psi, tolerances=tolerances)
 
 
+def _heisenberg(s: Scenario, grid: TimeGrid):
+    """The triple of ``s`` on ``grid``; a damped table's reference is the
+    classical trajectory from the scenario's ICs on ``grid.refined(2)``."""
+    ref = None
+    if s.field.gamma > 0:
+        ref = solve_trajectory(s.params, s.field, s.ics, grid.refined(2))
+    return evolve_heisenberg(s.params, s.field, grid, reference_trajectory=ref)
+
+
 def _run_fock_oracle(s: Scenario, state: np.ndarray):
     """Independent Fock state-vector check of the closed-form Heisenberg path.
 
     Runs on its own coarser grid (the state ODE is smooth) and returns the
     sups over every step of |<x>_Fock - <x_H>| and |<x^2>_Fock - <x_H^2>|.
     """
-    params, field = s.params, s.field
     grid = s.time_grid
     steps = max(2000, int(round(s.periods * s.oracle_steps_per_period)))
-    ogrid = TimeGrid(grid.t0, grid.t1, steps)
-    ref = None
-    if field.gamma > 0:
-        ref = solve_trajectory(params, field, s.ics, ogrid.refined(2))
-    hsol = evolve_heisenberg(params, field, ogrid, reference_trajectory=ref)
+    hsol = _heisenberg(s, TimeGrid(grid.t0, grid.t1, steps))
     x_h, x2_h = closed_form_moments(hsol, state)
-    x_fock, x2_fock = fock_state_moments(params, field, ogrid, state,
-                                         reference_trajectory=ref)
+    x_fock, x2_fock = fock_state_moments(hsol.drive, state)
     x_sup = float(np.max(np.abs(x_fock - x_h)))
     x2_sup = float(np.max(np.abs(x2_fock - x2_h)))
     return x_sup, x2_sup

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classical import ClassicalTrajectory, build_drive_table
+from .classical import ClassicalTrajectory, DriveTable, build_drive_table
 from .errors import GridTooNarrow, NotDisplacedGaussian, NotNormalized, StepTooCoarse
 from .model import FieldModel, OscillatorParams, TimeGrid, ground_state_width
 
@@ -219,14 +219,13 @@ class PropagationRecord:
         return float(np.max(np.abs(self.norms - 1.0)))
 
 
-def _kick_forces(params, field, time_grid, reference_trajectory, splitting):
+def _kick_forces(drive, splitting):
     """The drive at every kick of every step, shape (n_steps, kicks).
 
     Kick j of a step takes the drive at offset c0 + ... + c_{j-1}: the
     time has advanced with the kinetic factors before it.
     """
     c, d, _ = SPLITTINGS[splitting]
-    drive = build_drive_table(params, field, time_grid, reference_trajectory)
     return drive.stage_values([sum(c[:j + 1]) for j in range(len(d))])
 
 
@@ -253,20 +252,17 @@ def _check_step_scale(params, center, forces, longest_step, step):
             f"at step {step} (need sub-step*scale/hbar < 0.1)")
 
 
-def check_path_step(params: OscillatorParams, field: FieldModel, time_grid: TimeGrid,
-                    path: np.ndarray, splitting: str,
-                    reference_trajectory: ClassicalTrajectory | None):
+def check_path_step(drive: DriveTable, path: np.ndarray, splitting: str):
     """The step guard of ``propagate`` for a packet whose mean follows ``path``.
 
-    ``path`` is sampled on ``time_grid``.  The energy scale grows with the
-    displacement, so the guard is applied where |path| is largest, and
+    ``path`` is sampled on the grid of ``drive``.  The energy scale grows with
+    the displacement, so the guard is applied where |path| is largest, and
     StepTooCoarse names that step.  ``propagate`` itself can only check
     the state it starts from.
     """
-    forces = _kick_forces(params, field, time_grid, reference_trajectory, splitting)
     step = int(np.argmax(np.abs(path)))
-    _check_step_scale(params, float(path[step]), forces,
-                      _longest_factor(splitting) * time_grid.dt, step)
+    _check_step_scale(drive.params, float(path[step]), _kick_forces(drive, splitting),
+                      _longest_factor(splitting) * drive.grid.dt, step)
 
 
 def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel,
@@ -275,8 +271,10 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     """Split-operator propagation under H(t) = p^2/2m + m omega0^2 x^2/2 - F(t) x.
 
     F(t) is the field drive e E(t) plus, for gamma > 0, the damping
-    back-action -m gamma qd(t) evaluated along ``reference_trajectory``
-    (which must be sampled on ``time_grid.refined(2)``).
+    back-action -m gamma qd(t) evaluated along ``reference_trajectory``,
+    which gamma > 0 requires, sampled on ``time_grid.refined(2)``
+    (ValueError otherwise).  The drive table raises StepTooCoarse if dt
+    does not resolve the fastest frequency.
 
     Each step of length dt is the factorisation ``SPLITTINGS[splitting] =
     (c, d, g)``: K(c0 dt) V_1 K(c1 dt) ... V_s K(cs dt), with kinetic
@@ -323,7 +321,8 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     n = time_grid.n_steps
     dt = time_grid.dt
     hb = params.hbar
-    forces = _kick_forces(params, field, time_grid, reference_trajectory, splitting)
+    drive = build_drive_table(params, field, time_grid, reference_trajectory)
+    forces = _kick_forces(drive, splitting)
     _check_step_scale(params, grid.dx * float(np.dot(grid.x, psi.density())), forces,
                       _longest_factor(splitting) * dt, 0)
 

@@ -177,7 +177,7 @@ def test_drive_table_and_forced_integration_consistency(natural):
     field = pl.FieldModel.monochromatic(0.5, 0.7)
     grid = TimeGrid(0.0, 25.0, 10_000)
     drive = pl.build_drive_table(natural, field, grid)
-    xi = pl.integrate_forced(natural, drive)
+    xi = pl.integrate_forced(drive)
     direct = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), grid)
     assert np.array_equal(xi.q, direct.q)
     assert np.array_equal(xi.qdot, direct.qdot)
@@ -197,6 +197,18 @@ def test_drive_table_damped_reference(natural):
         pl.build_drive_table(natural, field, grid,
                              reference=pl.solve_trajectory(
                                  natural, field, InitialConditions(1.0, 0.0), grid))
+
+
+def test_damped_drive_needs_its_reference(natural):
+    # no zero-IC reference is made up: it would undamp a displaced packet
+    field = pl.FieldModel.zero(gamma=0.25)
+    grid = TimeGrid(0.0, 10.0, 2000)
+    psi = pl.ground_state(natural, pl.PositionGrid.for_state(natural, 1.0))
+    for build in (lambda: pl.build_drive_table(natural, field, grid),
+                  lambda: pl.evolve_heisenberg(natural, field, grid),
+                  lambda: pl.propagate(psi, natural, field, grid)):
+        with pytest.raises(ValueError, match="reference"):
+            build()
 
 
 def damped_closed_form_velocity(t, gamma):

@@ -43,7 +43,8 @@ def test_free_fock_state_mean_oscillates():
     tg = TimeGrid(0.0, params.period, 1500)
     q0 = 1.0
     state = pl.coherent_state_vector(params, 64, q0)
-    mean_x, _ = pl.fock_state_moments(params, pl.FieldModel.zero(), tg, state)
+    drive = pl.build_drive_table(params, pl.FieldModel.zero(), tg)
+    mean_x, _ = pl.fock_state_moments(drive, state)
     assert np.max(np.abs(mean_x - q0 * np.cos(tg.times))) < 1e-8
 
 
@@ -61,7 +62,7 @@ def test_fock_state_oracle_agrees_with_closed_form(natural):
     tg = TimeGrid(0.0, 5.0 * natural.period, 10_000)
     sol = pl.evolve_heisenberg(natural, field, tg)
     ground = pl.ground_state_vector(64)
-    mean_x, mean_x2 = pl.fock_state_moments(natural, field, tg, ground)
+    mean_x, mean_x2 = pl.fock_state_moments(sol.drive, ground)
     x_h, x2_h = pl.closed_form_moments(sol, ground)
     assert np.max(np.abs(mean_x - x_h)) < 1e-8
     assert np.max(np.abs(mean_x2 - x2_h)) < 1e-8
@@ -71,7 +72,8 @@ def test_ground_mean_follows_zero_ic_trajectory(natural):
     # the Fock-state mean and the classical zero-IC solution coincide
     field = pl.FieldModel.mode_sum([0.4, 0.25], [0.52, 1.77], seed=5)
     tg = TimeGrid(0.0, 3.0 * natural.period, 3000)
-    mean_x, _ = pl.fock_state_moments(natural, field, tg, pl.ground_state_vector(64))
+    mean_x, _ = pl.fock_state_moments(pl.build_drive_table(natural, field, tg),
+                                      pl.ground_state_vector(64))
     traj = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
     for step in range(0, tg.n_steps + 1, 300):
         assert mean_x[step] == pytest.approx(traj.q[step], abs=1e-8)
@@ -93,7 +95,7 @@ def test_ground_moment_x2_values(natural):
     _, x2 = pl.closed_form_moments(closed, pl.ground_state_vector(64))
     expected = 0.5 + (4.0 / 3.0) ** 2
     assert x2[-1] == pytest.approx(expected, abs=1e-8)
-    _, fock_x2 = pl.fock_state_moments(natural, field, tg2, pl.ground_state_vector(64))
+    _, fock_x2 = pl.fock_state_moments(closed.drive, pl.ground_state_vector(64))
     assert fock_x2[-1] == pytest.approx(expected, abs=1e-8)
 
     # xi zero crossing reduces to the free value
@@ -142,9 +144,8 @@ def test_step_too_coarse(natural):
     field = pl.FieldModel.monochromatic(1.0, 30.0)
     with pytest.raises(pl.StepTooCoarse):
         pl.evolve_heisenberg(natural, field, TimeGrid(0.0, 10.0, 100))
-    with pytest.raises(pl.StepTooCoarse):
-        pl.fock_state_moments(natural, field, TimeGrid(0.0, 10.0, 100),
-                              pl.ground_state_vector(64))
+    with pytest.raises(pl.StepTooCoarse):  # the oracle's table
+        pl.build_drive_table(natural, field, TimeGrid(0.0, 10.0, 100))
 
 
 def test_truncation_guard_fires_along_the_path(natural):
@@ -153,9 +154,11 @@ def test_truncation_guard_fires_along_the_path(natural):
     field = pl.FieldModel.monochromatic(1.0, 0.5)
     tg = TimeGrid(0.0, natural.period, 4000)
     early = TimeGrid(0.0, 0.5, 200)
-    pl.fock_state_moments(natural, field, early, pl.ground_state_vector(16))
+    pl.fock_state_moments(pl.build_drive_table(natural, field, early),
+                          pl.ground_state_vector(16))
     with pytest.raises(pl.TruncationError):
-        pl.fock_state_moments(natural, field, tg, pl.ground_state_vector(16))
+        pl.fock_state_moments(pl.build_drive_table(natural, field, tg),
+                              pl.ground_state_vector(16))
     scenario = pl.Scenario(name="leaky", params=natural, field=field,
                            ics=InitialConditions(0.0, 0.0), time_grid=tg,
                            record_every=20, n_fock=16)
@@ -164,12 +167,12 @@ def test_truncation_guard_fires_along_the_path(natural):
 
 
 def test_damped_reference_consistency(natural):
-    # with zero ICs the internally built damped reference makes xi, the
-    # undamped response to the tabulated force, reproduce the damped
-    # classical solution itself
+    # with the zero-IC damped solution as reference, xi, the undamped
+    # response to the tabulated force, reproduces that solution itself
     field = pl.FieldModel.monochromatic(0.5, 0.7, gamma=0.2)
     tg = TimeGrid(0.0, 3.0 * natural.period, 3000)
-    sol = pl.evolve_heisenberg(natural, field, tg)
+    ref = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg.refined(2))
+    sol = pl.evolve_heisenberg(natural, field, tg, reference_trajectory=ref)
     damped = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
     assert np.max(np.abs(damped.q)) > 0.1  # non-trivial motion
     assert np.max(np.abs(sol.xi - damped.q)) < 1e-10

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import picture_lab as pl
+from picture_lab import classical, heisenberg, schrodinger
 from picture_lab import InitialConditions, TimeGrid
 
 
@@ -93,6 +94,25 @@ def test_free_limit_sweep_continuity_and_scaling():
     peak_small = np.max(by_e[0.01].q_c**2)
     peak_large = np.max(by_e[0.1].q_c**2)
     assert peak_large / peak_small == pytest.approx(100.0, rel=0.01)
+
+
+@pytest.mark.parametrize("oracle,tables", [(True, 3), (False, 2)])
+def test_one_drive_table_per_heisenberg_grid(monkeypatch, oracle, tables):
+    # the triple's table serves the path guard and the Fock oracle on its
+    # grid; propagate builds the only other one
+    calls = []
+    build = pl.build_drive_table
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for module in (classical, heisenberg, schrodinger):
+        monkeypatch.setattr(module, "build_drive_table", counting)
+    report = pl.run_equivalence(quick_scenario(periods=0.5, n_steps=1000,
+                                               fock_oracle=oracle))
+    assert report.equivalence_pass
+    assert len(calls) == tables
 
 
 def test_free_limit_sweep_requires_zero():

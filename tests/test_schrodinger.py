@@ -218,6 +218,15 @@ def test_propagate_rejects_coarse_step(natural):
         pl.propagate(psi, natural, pl.FieldModel.zero(), TimeGrid(0.0, 10.0, 20))
 
 
+def test_propagate_resolves_the_drive_period(natural):
+    # dt = 1e-3 passes the energy-scale guard of a weak drive (0.026), but
+    # not the drive table's dt <= (2 pi / 200) / 50 = 6.3e-4
+    psi = pl.ground_state(natural, pl.PositionGrid.for_state(natural, 0.0))
+    field = pl.FieldModel.monochromatic(0.01, 200.0)
+    with pytest.raises(pl.StepTooCoarse, match="angular frequency 200"):
+        pl.propagate(psi, natural, field, TimeGrid(0.0, 1.0, 1000))
+
+
 def test_propagate_detects_density_at_edge(free_params):
     # a fast packet crosses the padding and reaches the boundary
     tight = pl.PositionGrid(half_width=8.0 * pl.ground_state_width(free_params) + 0.4,
