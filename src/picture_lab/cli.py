@@ -282,12 +282,16 @@ def _apply_axis(config: RunConfig, axis: str, value: float) -> RunConfig:
     return replace(config, scenario=s)
 
 
-def _sweep_entry(entry):
-    """Run and export one sweep entry; returns its summary row by column name."""
-    config, out_dir = entry
-    report = run_equivalence(config.scenario)
-    _export(config, report, Path(out_dir))
-    return {header: column(report) for header, column in SUMMARY_COLUMNS}
+def _sweep_entries(entries):
+    """Run sweep entries as one call of ``run_equivalence``, which batches
+    those that share a time grid, and export them; returns their summary
+    rows by column name."""
+    reports = run_equivalence([config.scenario for config, _ in entries])
+    rows = []
+    for (config, out_dir), report in zip(entries, reports):
+        _export(config, report, Path(out_dir))
+        rows.append({header: column(report) for header, column in SUMMARY_COLUMNS})
+    return rows
 
 
 def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
@@ -322,22 +326,24 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
         return _fail(exc)
     values = parsed
 
-    rows = []
+    # each worker runs every workers-th entry, as one run_equivalence call;
+    # the pool starts all its workers at the first submit: never more than
+    # there are entries
+    workers = min(jobs, len(entries))
+    shares = [entries[i::workers] for i in range(workers)]
+    rows = [None] * len(entries)
     name = None
     try:
         with contextlib.ExitStack() as stack:
-            # the pool starts all its workers at the first submit: never
-            # more than there are entries
-            workers = min(jobs, len(entries))
             if workers > 1:
                 pool = stack.enter_context(
                     concurrent.futures.ProcessPoolExecutor(max_workers=workers))
-                results = [pool.submit(_sweep_entry, entry).result for entry in entries]
+                results = [pool.submit(_sweep_entries, share).result for share in shares]
             else:
-                results = [functools.partial(_sweep_entry, entry) for entry in entries]
-            for (config, _), result in zip(entries, results):
-                name = config.scenario.name
-                rows.append(result())
+                results = [functools.partial(_sweep_entries, share) for share in shares]
+            for i, (share, result) in enumerate(zip(shares, results)):
+                name = share[0][0].scenario.name
+                rows[i::workers] = result()
     except Exception as exc:
         return _fail(exc, name)
 
@@ -360,13 +366,18 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
 
 
 def _print_dt_orders(values, rows):
-    """Observed orders fitted to the successive endpoint differences."""
+    """Observed orders fitted to the successive endpoint differences.
+
+    A difference below sqrt(n_steps of the finer run) ulps of its endpoint
+    is roundoff, not truncation error, and is left out of the fit.
+    """
     order = sorted(range(len(values)), key=lambda i: -values[i])
     for label, key in (("classical trajectory", "q_c_final"),
                        ("split-step <x^2>", "x2_s_final")):
-        pairs = [(rows[i]["dt"], abs(rows[i][key] - rows[j][key]))
+        pairs = [(rows[i]["dt"], abs(rows[i][key] - rows[j][key]),
+                  math.sqrt(rows[j]["n_steps"]) * math.ulp(rows[j][key]))
                  for i, j in zip(order, order[1:])]
-        pairs = [(dt, diff) for dt, diff in pairs if diff > 0]  # the fit takes logs
+        pairs = [(dt, diff) for dt, diff, roundoff in pairs if diff > roundoff]
         if len(pairs) >= 2:
             print(f"observed order ({label}): {observed_order(*zip(*pairs)):.2f}")
 

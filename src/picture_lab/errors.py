@@ -2,7 +2,13 @@
 
 
 class PictureLabError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``row`` is the index of the state a guard of a batched ``propagate``
+    tripped for, and None for any other error.
+    """
+
+    row: int | None = None
 
 
 class StepTooCoarse(PictureLabError):

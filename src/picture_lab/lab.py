@@ -25,7 +25,7 @@ from .heisenberg import (closed_form_moments, coherent_state_vector, evolve_heis
 from .model import FieldModel, OscillatorParams, TimeGrid
 from .schrodinger import (DEFAULT_PADDING_SIGMAS, MIN_N_POINTS, SPLITTINGS,
                           GridWavefunction, PositionGrid, check_path_step, expectation_x2,
-                          ground_state, displaced_state, propagate)
+                          ground_state, displaced_state, propagate, record_steps)
 
 TOL_EQUIVALENCE = 1e-5   # cross-engine: accumulated integrator + grid error
 TOL_RESIDUAL = 1e-6      # engine-level identities
@@ -172,29 +172,80 @@ def flawed_identification_residual(report: EquivalenceReport, t: float) -> float
     return float(report.residual_5_1[i])
 
 
-def run_equivalence(scenario: Scenario) -> EquivalenceReport:
+def run_equivalence(scenarios):
     """Run all three engines on the shared grid and assemble the report.
 
-    The package's own errors are re-raised with the scenario name in
-    their message; any other exception propagates unchanged.
+    Given a sequence of scenarios, returns their reports in order.  The
+    scenarios whose propagations share a time grid, splitting, n_points
+    and record cadence run as one batched ``propagate``, and each report
+    equals that of its scenario run alone.  The package's own errors are
+    re-raised with the name of the scenario they arose in; any other
+    exception propagates unchanged.
     """
+    single = isinstance(scenarios, Scenario)
+    scenarios = [scenarios] if single else list(scenarios)
+    runs = [_run(s) for s in scenarios]
+    starts = [_advance(s, run, None) for s, run in zip(scenarios, runs)]
+    groups = {}
+    for i, (s, (psi0, _)) in enumerate(zip(scenarios, starts)):
+        key = (s.time_grid, s.splitting, psi0.grid.n_points, s.record_every)
+        groups.setdefault(key, []).append(i)
+    records = [None] * len(scenarios)
+    for members in groups.values():
+        batch = _propagate([scenarios[i] for i in members], [starts[i] for i in members])
+        for i, record in zip(members, batch):
+            records[i] = record
+    reports = [_advance(*item) for item in zip(scenarios, runs, records)]
+    return reports[0] if single else reports
+
+
+def _named(exc: PictureLabError, s: Scenario) -> PictureLabError:
+    """``exc`` rebuilt with the name of ``s`` in its message."""
+    return type(exc)(f"[scenario {s.name}] {exc}")  # one-message types: safe to rebuild
+
+
+def _advance(s: Scenario, run, value):
+    """Send ``value`` to ``run``, the run of ``s``; returns what it yields
+    next or, once it ends, its report."""
     try:
-        return _run(scenario)
-    except PictureLabError as exc:  # one-message types: safe to rebuild
-        raise type(exc)(f"[scenario {scenario.name}] {exc}") from exc
+        return run.send(value)
+    except StopIteration as done:
+        return done.value
+    except PictureLabError as exc:
+        raise _named(exc, s) from exc
 
 
-def _run(s: Scenario) -> EquivalenceReport:
+def _propagate(group: list, starts: list) -> list:
+    """One ``propagate`` call for the scenarios ``group``, which share a time
+    grid, splitting, n_points and record cadence, from their (initial
+    state, damping reference) ``starts``; returns their records in order."""
+    s = group[0]
+    states, refs = zip(*starts)
+    args = (states, [t.params for t in group], [t.field for t in group], refs)
+    if len(group) == 1:  # a single propagation
+        args = [arg[0] for arg in args]
+    try:
+        record = propagate(*args[:3], s.time_grid, reference_trajectory=args[3],
+                           record_every=s.record_every, splitting=s.splitting)
+    except PictureLabError as exc:
+        raise _named(exc, group[exc.row or 0]) from exc
+    return [record] if len(group) == 1 else [record.row(b) for b in range(len(group))]
+
+
+def _run(s: Scenario):
+    """The report of ``s``, as a generator: it yields the initial state and
+    the damping reference of its propagation, is sent the record, and
+    returns the report."""
     params, field, grid = s.params, s.field, s.time_grid
     damped = field.gamma > 0
 
     hsol = _heisenberg(s, grid)
     ref = hsol.drive.reference
-    if damped:
-        q_c, qdot_c = ref.q[::2], ref.qdot[::2]
-    else:
-        traj = solve_trajectory(params, field, s.ics, grid)
-        q_c, qdot_c = traj.q, traj.qdot
+    # the classical path; a damped table's reference is that path on
+    # grid.refined(2)
+    traj = ref if damped else solve_trajectory(params, field, s.ics, grid)
+    every = 2 if damped else 1
+    q_c, qdot_c = traj.q[::every], traj.qdot[::every]
     xi = hsol.xi
 
     if s.match_quantum_ics:
@@ -216,22 +267,21 @@ def _run(s: Scenario) -> EquivalenceReport:
         speed += params.omega0 * abs(s.ics.q0) + abs(s.ics.v0)
     pgrid = PositionGrid.for_state(params, reach, s.n_points, s.padding_sigmas,
                                    max_momentum=params.mass * speed)
-    psi0 = displaced_state(params, pgrid, q_init, v_init)
-    prop = propagate(psi0, params, field, grid, reference_trajectory=ref,
-                     record_every=s.record_every, splitting=s.splitting)
-
-    rec = prop.steps
+    # a batch holds the run of each of its scenarios here until it is
+    # propagated: keep the series at the record steps only
+    rec = record_steps(grid.n_steps, s.record_every)
     x_h, x2_h = closed_form_moments(hsol, state)
-    x_h, x2_h = x_h[rec], x2_h[rec]
+    x_h, x2_h, xi, q_c, qdot_c, classical_mean = (
+        series[rec] for series in (x_h, x2_h, xi, q_c, qdot_c, classical_mean))
+    del hsol, traj
+    prop = yield displaced_state(params, pgrid, q_init, v_init), ref
 
     vacuum = expectation_x2(ground_state(params, pgrid))
-    q_rec = q_c[rec]
-    residual = x2_h - q_rec**2
-    mean_rec = classical_mean[rec]
+    residual = x2_h - q_c**2
 
     sup_disc = float(np.max(np.abs(prop.mean_x2 - x2_h)))
-    ehrenfest = float(np.max(np.abs(prop.mean_x - mean_rec)))
-    decomposition = float(np.max(np.abs(prop.mean_x2 - vacuum - mean_rec**2)))
+    ehrenfest = float(np.max(np.abs(prop.mean_x - classical_mean)))
+    decomposition = float(np.max(np.abs(prop.mean_x2 - vacuum - classical_mean**2)))
     res_min = float(residual.min())
     res_max = float(residual.max())
 
@@ -252,8 +302,8 @@ def _run(s: Scenario) -> EquivalenceReport:
     tolerances = {"equivalence": s.tol_equivalence, "residual": TOL_RESIDUAL,
                   "decomposition": TOL_DECOMPOSITION}
     return EquivalenceReport(
-        scenario=s, times=prop.times, q_c=q_rec, qdot_c=qdot_c[rec],
-        x_s=prop.mean_x, x2_s=prop.mean_x2, x_h=x_h, x2_h=x2_h, xi=xi[rec],
+        scenario=s, times=prop.times, q_c=q_c, qdot_c=qdot_c,
+        x_s=prop.mean_x, x2_s=prop.mean_x2, x_h=x_h, x2_h=x2_h, xi=xi,
         residual_5_1=residual, vacuum_term=vacuum,
         sup_discrepancy=sup_disc, ehrenfest_sup=ehrenfest,
         decomposition_sup=decomposition, residual_min=res_min, residual_max=res_max,
@@ -294,19 +344,17 @@ def _run_fock_oracle(s: Scenario, state: np.ndarray):
 def free_limit_sweep(e_values, base: Scenario) -> list:
     """Run the base scenario across charge values; must include e = 0.
 
-    Verifies continuity of the second moment toward the free value: the
-    linear equation of motion makes the classical response exactly
-    proportional to e, so the moment excess scales as e^2.
+    The values run as one ``run_equivalence`` call, so their propagations
+    share one batch.  Verifies continuity of the second moment toward the
+    free value: the linear equation of motion makes the classical response
+    exactly proportional to e, so the moment excess scales as e^2.
     """
     e_values = list(e_values)
     if 0 not in e_values and 0.0 not in e_values:
         raise ValueError("e_values must include 0")
-    reports = []
-    for e in e_values:
-        params = replace(base.params, charge=float(e))
-        scenario = replace(base, name=f"{base.name}[e={e:g}]", params=params)
-        reports.append(run_equivalence(scenario))
-    return reports
+    return run_equivalence([replace(base, name=f"{base.name}[e={e:g}]",
+                                    params=replace(base.params, charge=float(e)))
+                            for e in e_values])
 
 
 def observed_order(dts, errors) -> float:

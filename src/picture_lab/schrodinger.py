@@ -25,8 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .classical import ClassicalTrajectory, DriveTable, build_drive_table
-from .errors import GridTooNarrow, NotDisplacedGaussian, NotNormalized, StepTooCoarse
-from .model import FieldModel, OscillatorParams, TimeGrid, ground_state_width
+from .errors import (GridTooNarrow, NotDisplacedGaussian, NotNormalized,
+                     PictureLabError, StepTooCoarse)
+from .model import OscillatorParams, TimeGrid, ground_state_width
 
 #: default number of ground-state widths between the state and the grid edge
 DEFAULT_PADDING_SIGMAS = 11.0
@@ -205,10 +206,28 @@ def exact_state(params: OscillatorParams, grid: PositionGrid,
 
 
 @dataclass(frozen=True, eq=False)
-class PropagationRecord:
-    """Final state plus moment series sampled along a propagation."""
+class StateStack:
+    """Wavefunctions of equal n_points, state b on its own grid ``grids[b]``."""
 
-    psi: GridWavefunction
+    grids: tuple
+    psi: np.ndarray  # shape (len(grids), n_points)
+
+    def __len__(self) -> int:
+        return len(self.grids)
+
+    def __getitem__(self, b: int) -> GridWavefunction:
+        return GridWavefunction(grid=self.grids[b], psi=self.psi[b])
+
+
+@dataclass(frozen=True, eq=False)
+class PropagationRecord:
+    """Final state plus moment series sampled along a propagation.
+
+    Of a batch of B states: ``psi`` is the StateStack of the final states,
+    and ``mean_x``, ``mean_x2`` and ``norms`` have one row per state.
+    """
+
+    psi: GridWavefunction | StateStack
     steps: np.ndarray  # grid step index of each record
     times: np.ndarray
     mean_x: np.ndarray
@@ -217,6 +236,18 @@ class PropagationRecord:
 
     def max_norm_error(self) -> float:
         return float(np.max(np.abs(self.norms - 1.0)))
+
+    def row(self, b: int) -> "PropagationRecord":
+        """State b's record of a batch, as its own propagation returns it."""
+        return PropagationRecord(psi=self.psi[b], steps=self.steps, times=self.times,
+                                 mean_x=self.mean_x[b], mean_x2=self.mean_x2[b],
+                                 norms=self.norms[b])
+
+
+def record_steps(n_steps: int, record_every: int) -> np.ndarray:
+    """The steps ``propagate`` records at: 0, every ``record_every``-th
+    step, and the last."""
+    return np.append(np.arange(0, n_steps, record_every), n_steps)
 
 
 def _kick_forces(drive, splitting):
@@ -265,10 +296,44 @@ def check_path_step(drive: DriveTable, path: np.ndarray, splitting: str):
                       _longest_factor(splitting) * drive.grid.dt, step)
 
 
-def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel,
-              time_grid: TimeGrid, reference_trajectory: ClassicalTrajectory | None = None,
+def _row_factors(psi, params, field, reference, time_grid, splitting):
+    """The step factors of one state of ``propagate``, after its two guards.
+
+    Returns the kinetic factors and the kick exponents (the oscillator's,
+    and the drive's per unit F), each a list over the step's factors, the
+    drive at every kick, and the global phase of the kicks' F^2 terms.
+    """
+    c, d, g = SPLITTINGS[splitting]
+    grid, dt, hb = psi.grid, time_grid.dt, params.hbar
+    drive = build_drive_table(params, field, time_grid, reference)
+    forces = _kick_forces(drive, splitting)
+    _check_step_scale(params, grid.dx * float(np.dot(grid.x, psi.density())), forces,
+                      _longest_factor(splitting) * dt, 0)
+
+    x = grid.x
+    kin = [np.exp(-1j * hb * grid.k**2 * (cj * dt) / (2.0 * params.mass)) for cj in c]
+    # V'^2 = m^2 omega0^4 x^2 - 2 m omega0^2 F x + F^2: the gradient term
+    # rescales each kick's weight (exactly d where g = 0) and leaves the F^2 phase
+    weights = [dj - 2.0 * gj * (params.omega0 * dt) ** 2 for dj, gj in zip(d, g)]
+    pot_exp = [-1j * (0.5 * params.mass * params.omega0**2 * x**2) * (w * dt) / hb
+               for w in weights]
+    drive_exp = [(1j * w * dt / hb) * x for w in weights]
+    phase = dt**3 / (hb * params.mass) * float(np.sum(forces**2 * g))
+    return kin, pot_exp, drive_exp, forces, phase
+
+
+def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None,
               record_every: int = 1, splitting: str = "strang") -> PropagationRecord:
     """Split-operator propagation under H(t) = p^2/2m + m omega0^2 x^2/2 - F(t) x.
+
+    ``psi`` is one GridWavefunction, or a batch: a sequence of B of them
+    with equal n_points, each on its own grid, with ``params``, ``field``
+    and ``reference_trajectory`` (None for none) then sequences of B
+    values, one per state.  A batch runs through the same loop as one
+    state, on (B, n_points) stacks whose row b holds state b's factors,
+    built exactly as for a single state, so row b of the returned record
+    equals the record of state b's own propagation bit for bit;
+    ``PropagationRecord.row`` extracts it.
 
     F(t) is the field drive e E(t) plus, for gamma > 0, the damping
     back-action -m gamma qd(t) evaluated along ``reference_trajectory``,
@@ -288,13 +353,14 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     preserved up to roundoff either way.
 
     Each kick is one exponential of the full potential (Feit, Fleck and
-    Steiger, J. Comput. Phys. 47, 412 (1982)); without a drive it is a
-    fixed factor.  Expanded in F, the gradient term only rescales the
-    kick's weight to d_j - 2 g_j (omega0 dt)^2 and adds a global phase
-    g_j dt^3 F^2 / hbar m, which is summed over the run and applied to
-    the final state.  A record step shares one forward FFT between the
-    recorded state and the state that continues the run, so a run takes
-    2 * len(d) * n_steps + records transforms.
+    Steiger, J. Comput. Phys. 47, 412 (1982)); without a drive in any
+    state it is a fixed factor.  Expanded in F, the gradient term only
+    rescales the kick's weight to d_j - 2 g_j (omega0 dt)^2 and adds a
+    global phase g_j dt^3 F^2 / hbar m, which is summed over the run and
+    applied to each final state.  A record step shares one forward FFT
+    between the recorded state and the state that continues the run, so a
+    run takes 2 * len(d) * n_steps + records transforms, of the whole
+    stack in a batch.
 
     Moments are recorded at t0, every ``record_every``-th step, and the
     final time; ``record_every < 1`` raises ValueError.  Two edge guards
@@ -309,81 +375,90 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
     step (the largest |coefficient| of any kick, inner kinetic factor or
     merged kinetic factor, times dt) fails the energy-scale heuristic for
     the initial state; ``check_path_step`` applies the same guard along a
-    known path of the mean.
+    known path of the mean.  Every guard, and every moment, is evaluated
+    per state; an error a guard raises carries the index of its state as
+    ``row``.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every!r}")
     if splitting not in SPLITTINGS:
         raise ValueError(f"splitting must be one of {', '.join(SPLITTINGS)}, "
                          f"got {splitting!r}")
-    c, d, g = SPLITTINGS[splitting]
-    grid = psi.grid
-    n = time_grid.n_steps
-    dt = time_grid.dt
-    hb = params.hbar
-    drive = build_drive_table(params, field, time_grid, reference_trajectory)
-    forces = _kick_forces(drive, splitting)
-    _check_step_scale(params, grid.dx * float(np.dot(grid.x, psi.density())), forces,
-                      _longest_factor(splitting) * dt, 0)
-
-    x = grid.x
-    k = grid.k
-    kin = [np.exp(-1j * hb * k**2 * (cj * dt) / (2.0 * params.mass)) for cj in c]
-    # V'^2 = m^2 omega0^4 x^2 - 2 m omega0^2 F x + F^2: the gradient term
-    # rescales each kick's weight (exactly d where g = 0) and leaves the F^2 phase
-    weights = [dj - 2.0 * gj * (params.omega0 * dt) ** 2 for dj, gj in zip(d, g)]
-    # kick exponents: the oscillator's, plus the drive's per unit F
-    pot_exp = [-1j * (0.5 * params.mass * params.omega0**2 * x**2) * (w * dt) / hb
-               for w in weights]
-    drive_exp = [(1j * w * dt / hb) * x for w in weights]
+    single = isinstance(psi, GridWavefunction)
+    if single:
+        rows = [(psi, params, field, reference_trajectory)]
+    else:
+        refs = reference_trajectory or [None] * len(psi)
+        rows = list(zip(psi, params, field, refs, strict=True))
+    if len({state.grid.n_points for state, *_ in rows}) != 1:
+        raise ValueError("a batch needs one or more states of equal n_points")
+    factors = []
+    for b, row in enumerate(rows):
+        try:
+            factors.append(_row_factors(*row, time_grid, splitting))
+        except PictureLabError as exc:
+            exc.row = b
+            raise
+    kin, pot_exp, drive_exp, forces, phases = zip(*factors)
+    kin, pot_exp, drive_exp = ([np.stack(factor) for factor in zip(*per_row)]
+                               for per_row in (kin, pot_exp, drive_exp))
+    forces = np.stack(forces, axis=-1)[..., None]  # (n_steps, kicks, B, 1)
     pots = [np.exp(e) for e in pot_exp]
-    phase = dt**3 / (hb * params.mass) * float(np.sum(forces**2 * g))
     joins = kin[1:-1]  # inside one step
     lead, tail, wrap = kin[0], kin[-1], kin[-1] * kin[0]
     driven = bool(np.any(forces))
-    last = len(d) - 1
+    last = len(pot_exp) - 1
 
     def kick(amplitudes, step, j):
         if driven:
             return amplitudes * np.exp(pot_exp[j] + forces[step, j] * drive_exp[j])
         return amplitudes * pots[j]
 
-    rec_steps = [s for s in range(n + 1) if s % record_every == 0 or s == n]
-    times = time_grid.t0 + dt * np.asarray(rec_steps, dtype=float)
-    mean_x = np.empty(len(rec_steps))
-    mean_x2 = np.empty(len(rec_steps))
-    norms = np.empty(len(rec_steps))
+    grids = tuple(state.grid for state, *_ in rows)
+    dx = [grid.dx for grid in grids]
+    x = np.stack([grid.x for grid in grids])
+    x2 = x * x
+    n, batch = time_grid.n_steps, len(rows)
+    rec_steps = record_steps(n, record_every).tolist()
+    times = time_grid.t0 + time_grid.dt * np.asarray(rec_steps, dtype=float)
+    mean_x = np.empty((batch, len(rec_steps)))
+    mean_x2 = np.empty((batch, len(rec_steps)))
+    norms = np.empty((batch, len(rec_steps)))
     fft, ifft = np.fft.fft, np.fft.ifft
-    nyq = grid.n_points // 2  # -k_max; nyq - 1 is the largest positive k
+    nyq = grids[0].n_points // 2  # -k_max; nyq - 1 is the largest positive k
 
     def record(slot, amplitudes, spectrum):
         """Store the moments at this record.
 
         Returns the position and spectral edge amplitudes allowed until
-        the next record.
+        the next record, one per state.
         """
         d = np.abs(amplitudes) ** 2
-        norms[slot] = math.sqrt(grid.dx * d.sum())
-        mean_x[slot] = grid.dx * float(np.dot(x, d))
-        mean_x2[slot] = grid.dx * float(np.dot(x * x, d))
-        k_peak = (np.abs(spectrum) ** 2).max()
-        return (math.sqrt(_BOUNDARY_DENSITY_LIMIT * d.max()),
-                math.sqrt(_BOUNDARY_DENSITY_LIMIT * k_peak))
+        for b in range(batch):  # one dot per state keeps each row's sums
+            norms[b, slot] = math.sqrt(dx[b] * d[b].sum())
+            mean_x[b, slot] = dx[b] * float(np.dot(x[b], d[b]))
+            mean_x2[b, slot] = dx[b] * float(np.dot(x2[b], d[b]))
+        k_peak = (np.abs(spectrum) ** 2).max(axis=1)
+        return (np.sqrt(_BOUNDARY_DENSITY_LIMIT * d.max(axis=1)),
+                np.sqrt(_BOUNDARY_DENSITY_LIMIT * k_peak))
 
     def check_edges(step, amplitudes, spectrum, allowed):
         """Raise GridTooNarrow naming ``step`` if the two bins at +-k_max,
-        then the two edge cells, exceed the amplitudes ``allowed``."""
-        for kind, edge, limit in (
-                ("spectral density", max(abs(spectrum[nyq - 1]), abs(spectrum[nyq])),
-                 allowed[1]),
-                ("probability density", max(abs(amplitudes[0]), abs(amplitudes[-1])),
-                 allowed[0])):
-            if edge > limit:
-                raise GridTooNarrow(
-                    f"{kind} reached the grid edge at step {step} (edge fraction "
-                    f"{_BOUNDARY_DENSITY_LIMIT * (edge / limit) ** 2:.3g})")
+        then the two edge cells, of a state exceed the amplitudes ``allowed``."""
+        for b in range(batch):
+            for kind, edge, limit in (
+                    ("spectral density",
+                     max(abs(spectrum[b, nyq - 1]), abs(spectrum[b, nyq])), allowed[1][b]),
+                    ("probability density",
+                     max(abs(amplitudes[b, 0]), abs(amplitudes[b, -1])), allowed[0][b])):
+                if edge > limit:
+                    exc = GridTooNarrow(
+                        f"{kind} reached the grid edge at step {step} (edge fraction "
+                        f"{_BOUNDARY_DENSITY_LIMIT * (edge / limit) ** 2:.3g})")
+                    exc.row = b
+                    raise exc
 
-    cur = psi.psi
+    cur = np.stack([state.psi for state, *_ in rows])
     spectrum = fft(cur)
     allowed = record(0, cur, spectrum)
     check_edges(0, cur, spectrum, allowed)
@@ -406,8 +481,9 @@ def propagate(psi: GridWavefunction, params: OscillatorParams, field: FieldModel
             # boundary, and the two bins at +-k_max one aliasing
             check_edges(step + 1, stag, spectrum, allowed)
 
-    if phase:  # the kicks' F^2 terms
-        cur = cur * np.exp(1j * phase)
-    final = GridWavefunction(grid=grid, psi=cur)
-    return PropagationRecord(psi=final, steps=np.asarray(rec_steps), times=times,
-                             mean_x=mean_x, mean_x2=mean_x2, norms=norms)
+    for b, phase in enumerate(phases):
+        if phase:  # the kicks' F^2 terms
+            cur[b] *= np.exp(1j * phase)
+    result = PropagationRecord(psi=StateStack(grids, cur), steps=np.asarray(rec_steps),
+                               times=times, mean_x=mean_x, mean_x2=mean_x2, norms=norms)
+    return result.row(0) if single else result

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -218,9 +219,12 @@ def test_sweep_dt_axis_reports_orders(tmp_path, capsys):
                      "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
-    # no check on the classical line: its finest endpoint difference sits at roundoff
     order = re.search(r"observed order \(split-step <x\^2>\): (\S+)", text)
     assert order and 1.9 <= float(order.group(1)) <= 2.1, text
+    # the RK4's finest endpoint difference (2.3e-15) sits at roundoff and is
+    # left out; the other two give its order
+    order = re.search(r"observed order \(classical trajectory\): (\S+)", text)
+    assert order and 3.5 <= float(order.group(1)) <= 4.5, text
 
 
 def test_sweep_artifact_cells_keep_their_format(tmp_path):
@@ -269,11 +273,53 @@ def test_sweep_non_integer_fock_rejected(tmp_path, capsys):
 
 def test_sweep_parallel_jobs(tmp_path):
     cfg = write(tmp_path, TINY)
-    out = tmp_path / "par"
-    code = cli.main(["sweep", str(cfg), "--axis", "e",
-                     "--values", "0,0.05,0.1", "--out", str(out), "--jobs", "2"])
-    assert code == 0
-    assert (out / "sweep_summary.csv").exists()
+    summaries = []
+    for jobs in ("2", "1"):
+        out = tmp_path / f"jobs{jobs}"
+        code = cli.main(["sweep", str(cfg), "--axis", "e", "--values", "0,0.05,0.1",
+                         "--out", str(out), "--jobs", jobs])
+        assert code == 0
+        summaries.append((out / "sweep_summary.csv").read_bytes())
+    # the workers' shares come back in the order of the values
+    assert summaries[0] == summaries[1]
+
+
+ALL_EXPORTS = "".join(f"export_{kind} = true\n" for kind in serialize.ARTIFACTS)
+
+
+def test_entry_artifacts_do_not_depend_on_its_batch(tmp_path):
+    # determinism: e=0.05 runs in one batch with e=0 in the first sweep
+    # and alone in the second, and writes the same bytes
+    cfg = write(tmp_path, TINY + ALL_EXPORTS)
+    digests = []
+    for values in ("0,0.05", "0.05"):
+        out = tmp_path / values
+        assert cli.main(["sweep", str(cfg), "--axis", "e", "--values", values,
+                         "--out", str(out)]) == 0
+        entry = out / "e=0.05"
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in entry.iterdir()})
+    assert len(digests[0]) == len(serialize.ARTIFACTS)
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("axis,values,batches", [("e", "0,0.05,0.1", [3]),
+                                                 ("n_fock", "32,64", [2]),
+                                                 ("n_points", "256,512", [1, 1]),
+                                                 ("dt", "0.0015,0.001", [1, 1])])
+def test_sweep_batches_the_entries_that_share_a_time_grid(tmp_path, monkeypatch, axis,
+                                                          values, batches):
+    sizes = []
+
+    def counting(psi, *args, **kwargs):
+        sizes.append(1 if isinstance(psi, pl.GridWavefunction) else len(psi))
+        return propagate(psi, *args, **kwargs)
+
+    propagate = pl.lab.propagate
+    monkeypatch.setattr(pl.lab, "propagate", counting)
+    assert cli.main(["sweep", str(write(tmp_path, TINY)), "--axis", axis,
+                     "--values", values, "--out", str(tmp_path / "o")]) == 0
+    assert sizes == batches
 
 
 def set_key(text, section, key, value):
@@ -480,15 +526,18 @@ def pools(monkeypatch):
 def test_sweep_jobs_capped_at_entry_count(tmp_path, monkeypatch, pools, jobs, workers):
     ran = []
 
-    def fake_entry(entry):
-        ran.append(entry[0].scenario.name)
-        row = {key: 0.0 for key in ("sup_discrepancy", "ehrenfest_sup",
-                                    "decomposition_sup", "residual_min",
-                                    "residual_max", "vacuum_term", "q_c_final",
-                                    "x2_s_final", "dt")}
-        return dict(row, name=ran[-1], n_steps=1, all_pass=True)
+    def fake_entries(entries):
+        rows = []
+        for config, _ in entries:
+            ran.append(config.scenario.name)
+            row = {key: 0.0 for key in ("sup_discrepancy", "ehrenfest_sup",
+                                        "decomposition_sup", "residual_min",
+                                        "residual_max", "vacuum_term", "q_c_final",
+                                        "x2_s_final", "dt")}
+            rows.append(dict(row, name=ran[-1], n_steps=1, all_pass=True))
+        return rows
 
-    monkeypatch.setattr(cli, "_sweep_entry", fake_entry)
+    monkeypatch.setattr(cli, "_sweep_entries", fake_entries)
     cfg = write(tmp_path, TINY)
     assert cli.sweep_command(str(cfg), "e", ["0", "0.05", "0.1"],
                              tmp_path / "o", jobs=jobs) == 0

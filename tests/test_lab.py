@@ -115,6 +115,22 @@ def test_one_drive_table_per_heisenberg_grid(monkeypatch, oracle, tables):
     assert len(calls) == tables
 
 
+def test_batched_guard_names_the_scenario_of_its_row():
+    # released from q0 = 15 on 256 points, the third packet's spectrum wraps
+    # round +-k_max; it shares its batch with two packets that stay clear
+    base = quick_scenario(params=pl.OscillatorParams(charge=0.0),
+                          field=pl.FieldModel.zero(), periods=0.3, n_steps=4800,
+                          n_points=256, n_fock=256)
+    scenarios = [replace(base, name=f"q0={q0:g}", ics=InitialConditions(q0, 0.0))
+                 for q0 in (0.0, 1.0, 15.0)]
+    with pytest.raises(pl.GridTooNarrow) as batch:
+        pl.run_equivalence(scenarios)
+    with pytest.raises(pl.GridTooNarrow) as alone:
+        pl.run_equivalence(scenarios[2])
+    assert str(batch.value).startswith("[scenario q0=15] spectral density reached")
+    assert str(batch.value) == str(alone.value)
+
+
 def test_free_limit_sweep_requires_zero():
     with pytest.raises(ValueError):
         pl.free_limit_sweep([0.01, 0.1], quick_scenario())

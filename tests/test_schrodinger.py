@@ -212,10 +212,12 @@ def test_split_step_is_second_order(natural):
 
 
 def test_propagate_rejects_coarse_step(natural):
+    # dt = 0.12 resolves omega0 (the drive table's limit is 0.126), but not
+    # the energy scale of the initial state
     pgrid = pl.PositionGrid.for_state(natural, 0.0)
     psi = pl.ground_state(natural, pgrid)
-    with pytest.raises(pl.StepTooCoarse):
-        pl.propagate(psi, natural, pl.FieldModel.zero(), TimeGrid(0.0, 10.0, 20))
+    with pytest.raises(pl.StepTooCoarse, match="sub-step 0.12 too coarse .* at step 0"):
+        pl.propagate(psi, natural, pl.FieldModel.zero(), TimeGrid(0.0, 12.0, 100))
 
 
 def test_propagate_resolves_the_drive_period(natural):
@@ -424,3 +426,62 @@ def test_transform_count(natural, monkeypatch, splitting, record_every, field):
     rec = _run(natural, field, splitting, record_every)
     kicks = pl.SPLITTINGS[splitting][1]
     assert len(calls) == 2 * len(kicks) * N_RUN + len(rec.times)
+
+
+def _batch_inputs(batch):
+    # different charges (0 among them: an undriven row in a driven batch),
+    # reaches and so half-widths, and initial states
+    charges = (0.8, 0.0, 1.5, 0.4)[:batch]
+    reaches = (1.0, 2.0, 3.0, 1.5)[:batch]
+    params = [pl.OscillatorParams(charge=e) for e in charges]
+    states = [pl.displaced_state(p, pl.PositionGrid.for_state(p, r, n_points=256),
+                                 0.1 * b, 0.2 * b)
+              for b, (p, r) in enumerate(zip(params, reaches))]
+    return states, params
+
+
+@pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
+@pytest.mark.parametrize("batch", [1, 2, 3, 4])
+def test_batch_rows_equal_their_single_runs(splitting, batch):
+    states, params = _batch_inputs(batch)
+    tg = TimeGrid(0.0, 1.5, 600)
+    rec = pl.propagate(states, params, [DRIVE] * batch, tg, record_every=7,
+                       splitting=splitting)
+    assert rec.mean_x.shape == (batch, len(rec.times)) and len(rec.psi) == batch
+    for b in range(batch):
+        alone = pl.propagate(states[b], params[b], DRIVE, tg, record_every=7,
+                             splitting=splitting)
+        row = rec.row(b)
+        assert row.psi.grid is states[b].grid
+        # bit for bit, the final state with its F^2 phase included
+        for series in ("psi", "mean_x", "mean_x2", "norms"):
+            got, want = getattr(row, series), getattr(alone, series)
+            if series == "psi":
+                got, want = got.psi, want.psi
+            assert got.tobytes() == want.tobytes(), (b, series)
+        assert np.array_equal(row.steps, alone.steps)
+        assert np.array_equal(row.times, alone.times)
+
+
+def test_batch_guard_names_its_row(free_params):
+    # the packet of row 2 swings out to the edge of its grid (see
+    # test_propagate_detects_edge_contact_between_records); rows 0 and 1 stay clear
+    narrow = pl.PositionGrid(half_width=6.0, n_points=512)
+    states = [pl.displaced_state(free_params, narrow, 0.0, velocity=v)
+              for v in (0.0, 0.5, 1.6)]
+    tg = TimeGrid(0.0, free_params.period, 4000)
+    with pytest.raises(pl.GridTooNarrow) as alone:
+        pl.propagate(states[2], free_params, pl.FieldModel.zero(), tg)
+    with pytest.raises(pl.GridTooNarrow) as batch:
+        pl.propagate(states, [free_params] * 3, [pl.FieldModel.zero()] * 3, tg)
+    assert batch.value.row == 2
+    assert str(batch.value) == str(alone.value)
+
+
+def test_batch_needs_equal_n_points(free_params):
+    states = [pl.ground_state(free_params, pl.PositionGrid.for_state(free_params, 0.0,
+                                                                     n_points=n))
+              for n in (256, 512)]
+    with pytest.raises(ValueError, match="equal n_points"):
+        pl.propagate(states, [free_params] * 2, [pl.FieldModel.zero()] * 2,
+                     TimeGrid(0.0, 1.0, 1000))
