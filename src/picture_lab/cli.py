@@ -7,9 +7,9 @@ constructor of the field kind, InitialConditions, Scenario, RunConfig),
 and the README lists them.  Unknown sections or keys are hard errors, and
 every physical value is validated before any engine runs.  The bundled
 configs are the golden suite (golden_scenarios).  Exit codes: 0 all
-verdicts pass, 2 a verdict failed, 1 configuration or execution error.
-The files a run or sweep writes, their columns and cell format are
-defined in serialize; the export_<kind> keys select from its ARTIFACTS.
+verdicts pass, 2 a verdict failed, 1 any other failure, reported by
+_fail.  The files a run or sweep writes, their columns and cell format
+are defined in serialize; the export_<kind> keys select from its ARTIFACTS.
 """
 
 from __future__ import annotations
@@ -134,24 +134,23 @@ def _build_field(fsec: dict) -> FieldModel:
     for key in keys:
         if key.default is key.empty and key.name not in fsec:
             raise ConfigInvalid(f"[field] {key.name} is required for kind '{kind}'")
+    return _build("[field] ", getattr(FieldModel, kind), **fsec)
+
+
+def _build(prefix: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a ValueError raised as ConfigInvalid after ``prefix``."""
     try:
-        return getattr(FieldModel, kind)(**fsec)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigInvalid(f"[field] {exc}") from None
+        raise ConfigInvalid(f"{prefix}{exc}") from None
 
 
 def load_config(path) -> RunConfig:
     """Parse and validate a config file into a runnable scenario."""
     cfg = _read_config(path)
-    try:
-        params = OscillatorParams(**cfg["oscillator"])
-    except ValueError as exc:
-        raise ConfigInvalid(f"[oscillator] {exc}") from None
+    params = _build("[oscillator] ", OscillatorParams, **cfg["oscillator"])
     field = _build_field(cfg["field"])
-    try:
-        ics = InitialConditions(**cfg["initial"])
-    except ValueError as exc:
-        raise ConfigInvalid(f"[initial] {exc}") from None
+    ics = _build("[initial] ", InitialConditions, **cfg["initial"])
 
     # [time] keys other than the grid's go to Scenario, as do [grid], [fock]
     # and the [run] keys that RunConfig does not take
@@ -164,10 +163,7 @@ def load_config(path) -> RunConfig:
         raise ConfigInvalid("[time] exactly one of t1 or periods must be set")
     if t1 is None:
         t1 = t0 + periods * params.period
-    try:
-        grid = TimeGrid(t0, t1, tsec.pop("n_steps"))
-    except ValueError as exc:
-        raise ConfigInvalid(f"[time] {exc}") from None
+    grid = _build("[time] ", TimeGrid, t0, t1, tsec.pop("n_steps"))
 
     fock = cfg["fock"]
     if "oracle" in fock:
@@ -177,11 +173,8 @@ def load_config(path) -> RunConfig:
     if "/" in name or "\\" in name:  # artifact paths are joined from the name
         raise ConfigInvalid(f"[run] name: must not contain '/' or '\\', got {name!r}")
     run = {key: rsec.pop(key) for key in _RUN_CONFIG_KEYS & rsec.keys()}
-    try:
-        scenario = Scenario(name=name, params=params, field=field, ics=ics,
-                            time_grid=grid, **tsec, **cfg["grid"], **fock, **rsec)
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from None
+    scenario = _build("", Scenario, name=name, params=params, field=field, ics=ics,
+                      time_grid=grid, **tsec, **cfg["grid"], **fock, **rsec)
     return RunConfig(scenario=scenario, **run)
 
 
@@ -209,38 +202,38 @@ def resolve_config_path(arg: str) -> Path:
 
 
 def _export(config: RunConfig, report, out_dir: Path):
-    for kind, (suffix, _) in ARTIFACTS.items():
-        if getattr(config, f"export_{kind}"):
-            write_artifact(report, kind, out_dir / f"{report.scenario.name}_{suffix}")
+    try:
+        for kind, (suffix, _) in ARTIFACTS.items():
+            if getattr(config, f"export_{kind}"):
+                write_artifact(report, kind, out_dir / f"{report.scenario.name}_{suffix}")
+    except Exception as exc:
+        exc.scenario = report.scenario.name
+        raise
 
 
-def _fail(exc: Exception, scenario_name: str | None = None) -> int:
+def _fail(exc: Exception) -> int:
     """Report ``exc`` as one ``error:`` line on stderr; returns exit code 1.
 
-    The package's own errors already name their scenario; any other
-    exception is prefixed with the scenario it escaped from and its type.
+    Every failure of a command leaves here.  Any error but the package's
+    own that escaped a scenario is headed by the scenario's name and type.
     """
-    if isinstance(exc, PictureLabError) or scenario_name is None:
-        print(f"error: {exc}", file=sys.stderr)
-    else:
-        print(f"error: [scenario {scenario_name}] {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+    name = getattr(exc, "scenario", None)
+    if name is not None and not isinstance(exc, PictureLabError):
+        exc = f"[scenario {name}] {type(exc).__name__}: {exc}"
+    print(f"error: {exc}", file=sys.stderr)
     return 1
 
 
 def run_command(config_path, out_dir=None, verbosity=None) -> int:
     try:
         config = load_config(resolve_config_path(config_path))
+        out = Path(out_dir) if out_dir else Path(f"{config.scenario.name}_run")
+        report = run_equivalence(config.scenario)
+        _export(config, report, out)
     except Exception as exc:
         return _fail(exc)
     if verbosity is None:
         verbosity = config.verbosity
-    out = Path(out_dir) if out_dir else Path(f"{config.scenario.name}_run")
-    try:
-        report = run_equivalence(config.scenario)
-        _export(config, report, out)
-    except Exception as exc:
-        return _fail(exc, config.scenario.name)
     if verbosity >= 1:
         for line in report.summary_lines():
             print(line)
@@ -295,15 +288,11 @@ def _sweep_entries(entries):
 
 
 def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
-    if axis not in SWEEP_AXES:
-        print(f"error: axis must be one of {SWEEP_AXES}", file=sys.stderr)
-        return 1
-    if not values:
-        print("error: no sweep values", file=sys.stderr)
-        return 1
-    if jobs < 1:
-        print(f"error: --jobs must be at least 1, got {jobs}", file=sys.stderr)
-        return 1
+    for bad, message in ((axis not in SWEEP_AXES, f"axis must be one of {SWEEP_AXES}"),
+                         (not values, "no sweep values"),
+                         (jobs < 1, f"--jobs must be at least 1, got {jobs}")):
+        if bad:
+            return _fail(ConfigInvalid(message))
     try:
         base = load_config(resolve_config_path(config_path))
         out = Path(out_dir) if out_dir else Path(f"{base.scenario.name}_sweep_{axis}")
@@ -316,24 +305,17 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
                 raise ConfigInvalid(f"sweep {axis}: values {raws[label]} and {raw.strip()} "
                                     f"both label their entry {label}")
             raws[label] = raw.strip()
-            try:
-                entry = _apply_axis(base, axis, v)
-            except ValueError as exc:  # the scenario rejects this value
-                raise ConfigInvalid(f"sweep {axis}={raw.strip()}: {exc}") from None
+            entry = _build(f"sweep {axis}={raw.strip()}: ", _apply_axis, base, axis, v)
             entries.append((entry, out / label))
             parsed.append(v)
-    except Exception as exc:
-        return _fail(exc)
-    values = parsed
+        values = parsed
 
-    # each worker runs every workers-th entry, as one run_equivalence call;
-    # the pool starts all its workers at the first submit: never more than
-    # there are entries
-    workers = min(jobs, len(entries))
-    shares = [entries[i::workers] for i in range(workers)]
-    rows = [None] * len(entries)
-    name = None
-    try:
+        # each worker runs every workers-th entry, as one run_equivalence
+        # call; the pool starts all its workers at the first submit: never
+        # more than there are entries
+        workers = min(jobs, len(entries))
+        shares = [entries[i::workers] for i in range(workers)]
+        rows = [None] * len(entries)
         with contextlib.ExitStack() as stack:
             if workers > 1:
                 pool = stack.enter_context(
@@ -341,19 +323,15 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
                 results = [pool.submit(_sweep_entries, share).result for share in shares]
             else:
                 results = [functools.partial(_sweep_entries, share) for share in shares]
-            for i, (share, result) in enumerate(zip(shares, results)):
-                name = share[0][0].scenario.name
+            for i, result in enumerate(results):
                 rows[i::workers] = result()
-    except Exception as exc:
-        return _fail(exc, name)
 
-    # the value prints as a float on every axis, integer axes included
-    headers = [header for header, _ in SUMMARY_COLUMNS]
-    try:
+        # the value prints as a float on every axis, integer axes included
+        headers = [header for header, _ in SUMMARY_COLUMNS]
         write_csv(out / "sweep_summary.csv", ["axis", "value"] + headers,
                   [[axis, float(v)] + [row[h] for h in headers]
                    for v, row in zip(values, rows)])
-    except OSError as exc:
+    except Exception as exc:
         return _fail(exc)
 
     for v, row in zip(values, rows):
@@ -382,8 +360,15 @@ def _print_dt_orders(values, rows):
             print(f"observed order ({label}): {observed_order(*zip(*pairs)):.2f}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as for any other; 2 means a failed verdict."""
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="picture-lab",
         description="Schrodinger vs Heisenberg picture laboratory for a driven "
                     "charged oscillator")

@@ -5,10 +5,15 @@ class PictureLabError(Exception):
     """Base class for every error raised by this package.
 
     ``row`` is the index of the state a guard of a batched ``propagate``
-    tripped for, and None for any other error.
+    tripped for, and None for any other error.  ``scenario`` names the
+    scenario it arose in, once known, and then heads the message.
     """
 
     row: int | None = None
+    scenario: str | None = None
+
+    def __str__(self):
+        return (f"[scenario {self.scenario}] " if self.scenario else "") + super().__str__()
 
 
 class StepTooCoarse(PictureLabError):

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classical import InitialConditions, decay_certificate, solve_trajectory
-from .errors import PictureLabError
 from .heisenberg import (closed_form_moments, coherent_state_vector, evolve_heisenberg,
                          fock_state_moments)
 from .model import FieldModel, OscillatorParams, TimeGrid
@@ -177,10 +176,12 @@ def run_equivalence(scenarios):
 
     Given a sequence of scenarios, returns their reports in order.  The
     scenarios whose propagations share a time grid, splitting, n_points
-    and record cadence run as one batched ``propagate``, and each report
-    equals that of its scenario run alone.  The package's own errors are
-    re-raised with the name of the scenario they arose in; any other
-    exception propagates unchanged.
+    and record cadence run as one batched ``propagate``, whose rows they
+    share if they also share the initial grid, params, field, ics and
+    match_quantum_ics.  Each report equals that of its scenario run alone.
+    An exception that escapes is re-raised as itself, with ``scenario`` set
+    to the name of the scenario it arose in: its ``row``'s in a batch, or
+    the batch's first if it has none.
     """
     single = isinstance(scenarios, Scenario)
     scenarios = [scenarios] if single else list(scenarios)
@@ -189,19 +190,16 @@ def run_equivalence(scenarios):
     groups = {}
     for i, (s, (psi0, _)) in enumerate(zip(scenarios, starts)):
         key = (s.time_grid, s.splitting, psi0.grid.n_points, s.record_every)
-        groups.setdefault(key, []).append(i)
-    records = [None] * len(scenarios)
-    for members in groups.values():
-        batch = _propagate([scenarios[i] for i in members], [starts[i] for i in members])
-        for i, record in zip(members, batch):
-            records[i] = record
-    reports = [_advance(*item) for item in zip(scenarios, runs, records)]
+        row = (psi0.grid, s.params, s.field, s.ics, s.match_quantum_ics)
+        groups.setdefault(key, {}).setdefault(row, []).append(i)
+    records = {}
+    for rows in groups.values():
+        firsts = [members[0] for members in rows.values()]
+        batch = _propagate([scenarios[i] for i in firsts], [starts[i] for i in firsts])
+        for members, record in zip(rows.values(), batch):
+            records.update(dict.fromkeys(members, record))
+    reports = [_advance(scenarios[i], runs[i], records[i]) for i in range(len(runs))]
     return reports[0] if single else reports
-
-
-def _named(exc: PictureLabError, s: Scenario) -> PictureLabError:
-    """``exc`` rebuilt with the name of ``s`` in its message."""
-    return type(exc)(f"[scenario {s.name}] {exc}")  # one-message types: safe to rebuild
 
 
 def _advance(s: Scenario, run, value):
@@ -211,8 +209,9 @@ def _advance(s: Scenario, run, value):
         return run.send(value)
     except StopIteration as done:
         return done.value
-    except PictureLabError as exc:
-        raise _named(exc, s) from exc
+    except Exception as exc:
+        exc.scenario = s.name
+        raise
 
 
 def _propagate(group: list, starts: list) -> list:
@@ -227,8 +226,9 @@ def _propagate(group: list, starts: list) -> list:
     try:
         record = propagate(*args[:3], s.time_grid, reference_trajectory=args[3],
                            record_every=s.record_every, splitting=s.splitting)
-    except PictureLabError as exc:
-        raise _named(exc, group[exc.row or 0]) from exc
+    except Exception as exc:
+        exc.scenario = group[getattr(exc, "row", None) or 0].name
+        raise
     return [record] if len(group) == 1 else [record.row(b) for b in range(len(group))]
 
 

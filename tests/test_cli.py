@@ -258,10 +258,24 @@ def test_artifact_table_matches_the_export_keys():
         assert f"`<name>_{suffix}`" in readme, suffix
 
 
-def test_sweep_invalid_axis_rejected(tmp_path):
+def test_sweep_invalid_axis_rejected(tmp_path, capsys):
     cfg = write(tmp_path, TINY)
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as done:
         cli.main(["sweep", str(cfg), "--axis", "banana", "--values", "1"])
+    assert done.value.code == 1  # 2 means a failed verdict
+    assert "invalid choice: 'banana'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["sweep", "CFG", "--axis", "e", "--values", "0",
+                                   "--jobs", "x"],
+                                  ["sweep", "CFG", "--values", "0"],
+                                  ["run"]])
+def test_usage_errors_exit_one(tmp_path, capsys, args):
+    cfg = str(write(tmp_path, TINY))
+    with pytest.raises(SystemExit) as done:
+        cli.main([cfg if arg == "CFG" else arg for arg in args])
+    assert done.value.code == 1
+    assert "usage: picture-lab" in capsys.readouterr().err
 
 
 def test_sweep_non_integer_fock_rejected(tmp_path, capsys):
@@ -287,24 +301,34 @@ def test_sweep_parallel_jobs(tmp_path):
 ALL_EXPORTS = "".join(f"export_{kind} = true\n" for kind in serialize.ARTIFACTS)
 
 
+def entry_digests(tmp_path, axis, values, label):
+    """sha256 by file name of the artifacts of entry ``label`` of a sweep."""
+    cfg = write(tmp_path, TINY + ALL_EXPORTS)
+    out = tmp_path / f"{axis}_{values}"
+    assert cli.main(["sweep", str(cfg), "--axis", axis, "--values", values,
+                     "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (out / label).iterdir()}
+    assert len(digests) == len(serialize.ARTIFACTS)
+    return digests
+
+
 def test_entry_artifacts_do_not_depend_on_its_batch(tmp_path):
     # determinism: e=0.05 runs in one batch with e=0 in the first sweep
     # and alone in the second, and writes the same bytes
-    cfg = write(tmp_path, TINY + ALL_EXPORTS)
-    digests = []
-    for values in ("0,0.05", "0.05"):
-        out = tmp_path / values
-        assert cli.main(["sweep", str(cfg), "--axis", "e", "--values", values,
-                         "--out", str(out)]) == 0
-        entry = out / "e=0.05"
-        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                        for p in entry.iterdir()})
-    assert len(digests[0]) == len(serialize.ARTIFACTS)
-    assert digests[0] == digests[1]
+    assert (entry_digests(tmp_path, "e", "0,0.05", "e=0.05")
+            == entry_digests(tmp_path, "e", "0.05", "e=0.05"))
+
+
+def test_entry_artifacts_do_not_depend_on_a_shared_row(tmp_path):
+    # n_fock=64 reads the propagation of n_fock=32, whose row it shares,
+    # in the first sweep and its own in the second
+    assert (entry_digests(tmp_path, "n_fock", "32,64", "n_fock=64")
+            == entry_digests(tmp_path, "n_fock", "64", "n_fock=64"))
 
 
 @pytest.mark.parametrize("axis,values,batches", [("e", "0,0.05,0.1", [3]),
-                                                 ("n_fock", "32,64", [2]),
+                                                 ("n_fock", "32,64", [1]),
                                                  ("n_points", "256,512", [1, 1]),
                                                  ("dt", "0.0015,0.001", [1, 1])])
 def test_sweep_batches_the_entries_that_share_a_time_grid(tmp_path, monkeypatch, axis,
@@ -496,6 +520,45 @@ def test_foreign_exception_exits_one_without_traceback(tmp_path, capsys, monkeyp
     err = one_error_line(capsys)
     assert "[scenario tiny_e=0]" in err and "Unable to allocate" in err
     assert not out.exists()
+
+
+def fail_in_entry(monkeypatch, charge):
+    """Make the classical path of the entry with ``charge`` raise MemoryError."""
+    solve_trajectory = pl.lab.solve_trajectory
+
+    def failing(params, *args, **kwargs):
+        if params.charge == charge:
+            raise MemoryError("no room")
+        return solve_trajectory(params, *args, **kwargs)
+
+    monkeypatch.setattr(pl.lab, "solve_trajectory", failing)
+
+
+@pytest.mark.parametrize("values,jobs,workers", [("0,0.1", "1", []),
+                                                 ("0,0.05,0.1", "2", [2])])
+def test_foreign_error_names_the_batch_entry_it_arose_in(tmp_path, capsys, monkeypatch,
+                                                         pools, values, jobs, workers):
+    # e=0.1 shares its batch with e=0, also as worker 0's share of --jobs 2
+    fail_in_entry(monkeypatch, 0.1)
+    out = tmp_path / "o"
+    assert cli.main(["sweep", str(write(tmp_path, TINY)), "--axis", "e",
+                     "--values", values, "--out", str(out), "--jobs", jobs]) == 1
+    assert one_error_line(capsys) == "error: [scenario tiny_e=0.1] MemoryError: no room\n"
+    assert pools == workers and not out.exists()
+
+
+def test_artifact_write_error_names_its_entry(tmp_path, capsys, monkeypatch):
+    write_artifact = cli.write_artifact
+
+    def failing(report, kind, path):
+        if report.scenario.name == "tiny_e=0.1":
+            raise OSError("disk full")
+        write_artifact(report, kind, path)
+
+    monkeypatch.setattr(cli, "write_artifact", failing)
+    assert cli.main(["sweep", str(write(tmp_path, TINY)), "--axis", "e",
+                     "--values", "0,0.1", "--out", str(tmp_path / "o")]) == 1
+    assert one_error_line(capsys) == "error: [scenario tiny_e=0.1] OSError: disk full\n"
 
 
 @pytest.fixture()

@@ -129,6 +129,26 @@ def test_batched_guard_names_the_scenario_of_its_row():
         pl.run_equivalence(scenarios[2])
     assert str(batch.value).startswith("[scenario q0=15] spectral density reached")
     assert str(batch.value) == str(alone.value)
+    assert batch.value.row == 2 and batch.value.scenario == "q0=15"
+
+
+def test_foreign_error_is_reraised_naming_its_scenario(monkeypatch):
+    # b's classical path fails: the error escapes as itself, of its own type
+    boom = LookupError("boom")
+    solve_trajectory = pl.lab.solve_trajectory
+
+    def failing(params, *args, **kwargs):
+        if params.charge == 0.5:
+            raise boom
+        return solve_trajectory(params, *args, **kwargs)
+
+    monkeypatch.setattr(pl.lab, "solve_trajectory", failing)
+    a, b, c = (quick_scenario(f"e={e:g}", params=pl.OscillatorParams(charge=e),
+                              periods=0.5, n_steps=2000) for e in (0.0, 0.5, 1.0))
+    with pytest.raises(LookupError) as caught:
+        pl.run_equivalence([a, b, c])
+    assert caught.value is boom
+    assert caught.value.scenario == b.name and str(caught.value) == "boom"
 
 
 def test_free_limit_sweep_requires_zero():
