@@ -5,8 +5,9 @@ class PictureLabError(Exception):
     """Base class for every error raised by this package.
 
     ``row`` is the index of the state a guard of a batched ``propagate``
-    tripped for, and None for any other error.  ``scenario`` names the
-    scenario it arose in, once known, and then heads the message.
+    or ``fock_state_moments`` tripped for, and None for any other error.
+    ``scenario`` names the scenario it arose in, once known, and then
+    heads the message.
     """
 
     row: int | None = None

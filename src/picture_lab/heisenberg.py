@@ -16,7 +16,10 @@ vector's length sets the Fock basis.
 ``fock_state_moments`` is an independent check of the triple: it reads
 the same drive table but propagates the Fock state vector itself, by its
 own RK4 loop in the interaction picture, and so exercises the ladder
-algebra and the truncation rather than the triple's formulas.
+algebra and the truncation rather than the triple's formulas.  It applies
+x_I(t) by the two bands of x, and runs a batch of (drive table, state)
+pairs on one grid and basis through the same loop as a single pair, on a
+stack of states whose rows equal their single runs bit for bit.
 """
 
 from __future__ import annotations
@@ -83,12 +86,14 @@ def coherent_state_vector(params: OscillatorParams, n_fock: int,
     return vec
 
 
-def _check_tail(state: np.ndarray):
+def _check_tail(state: np.ndarray, row: int | None = None):
     tail = float(abs(state[-1]) ** 2 + abs(state[-2]) ** 2)
     if not tail <= _TAIL_POPULATION_LIMIT:  # a NaN tail fails too
-        raise TruncationError(
+        exc = TruncationError(
             f"last-two-level population {tail:.3g} exceeds {_TAIL_POPULATION_LIMIT:g}; "
             f"increase n_fock")
+        exc.row = row
+        raise exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +156,7 @@ def evolve_heisenberg(params: OscillatorParams, field: FieldModel, time_grid: Ti
     return HeisenbergSolution(drive=drive, a=a, b=b, xi=xi)
 
 
-def fock_state_moments(drive: DriveTable, state: np.ndarray):
+def fock_state_moments(drive, state):
     """<x> and <x^2> on the table's grid for ``state`` evolved under H(t).
 
     The basis has dimension len(state).  Classic RK4 integrates
@@ -159,35 +164,62 @@ def fock_state_moments(drive: DriveTable, state: np.ndarray):
     hbar omega0 (n + 1/2), where
     x_I(t) = s (a e^{-i omega0 t} + a+ e^{i omega0 t}) and F is read
     from ``drive`` at the half steps.  Then
-    <x> = <psi_I|x_I psi_I> and <x^2> = ||x_I psi_I||^2.  Raises
-    TruncationError as soon as the last two levels hold too much
-    population at any step.
+    <x> = <psi_I|x_I psi_I> and <x^2> = ||x_I psi_I||^2.  x_I is applied
+    as two shifted elementwise products by the bands of x: s a holds the
+    one nonzero of each row above the diagonal, s a+ that below it.
+
+    ``drive`` and ``state`` are one table and one state vector, or a
+    batch: a sequence of B tables on one time grid, with one mass, omega0
+    and hbar, and a sequence of B states of one length (ValueError
+    otherwise).  A batch runs through the same loop as one state, on a
+    (B, n_fock) stack, and returns (B, n_steps + 1) arrays whose row b
+    equals the single run of table b and state b bit for bit.  Raises
+    TruncationError as soon as the last two levels of a state hold too
+    much population at any step, with the index of that state as ``row``
+    (0 for a single state).
     """
-    params, time_grid = drive.params, drive.grid
-    dim = len(state)
+    single = isinstance(drive, DriveTable)
+    drives = [drive] if single else list(drive)
+    states = [state] if single else list(state)
+    params, time_grid = drives[0].params, drives[0].grid
+    shared = (time_grid, params.mass, params.omega0, params.hbar)
+    if len(states) != len(drives) or len({len(vec) for vec in states}) != 1 or any(
+            (d.grid, d.params.mass, d.params.omega0, d.params.hbar) != shared
+            for d in drives):
+        raise ValueError("a batch needs one state of equal length per drive table, "
+                         "the tables on one time grid with one mass, omega0 and hbar")
+    psi = np.array(states, dtype=complex)
+    batch, dim = psi.shape
     x_op, _ = build_ladder_operators(params, dim)
-    # s a above the diagonal and s a+ below it, stacked for one product
-    ladder = np.vstack((np.triu(x_op, 1), np.tril(x_op, -1)))
+    upper, lower = np.diag(x_op, 1), np.diag(x_op, -1)
+    # s a psi and s a+ psi; each leaves one column at zero
+    lowered = np.zeros((batch, dim), dtype=complex)
+    raised = np.zeros((batch, dim), dtype=complex)
+    lowered_body, raised_body = lowered[:, :-1], raised[:, 1:]
     phases = np.exp(-1j * params.omega0 * (time_grid.half_times - time_grid.t0)).tolist()
-    gains = (1j / params.hbar * drive.values).tolist()
+    # (2 n_steps + 1, B, 1): each half step's gain as a column of the stack
+    gains = np.stack([1j / params.hbar * d.values for d in drives], axis=-1)[..., None]
 
     def x_times(k, vec):
-        y = ladder @ vec
+        np.multiply(upper, vec[:, 1:], out=lowered_body)
+        np.multiply(lower, vec[:, :-1], out=raised_body)
         e = phases[k]
-        return e * y[:dim] + e.conjugate() * y[dim:]
+        return e * lowered + e.conjugate() * raised
 
     n = time_grid.n_steps
     dt = time_grid.dt
     half = 0.5 * dt
     sixth = dt / 6.0
-    mean_x = np.empty(n + 1)
-    mean_x2 = np.empty(n + 1)
-    psi = np.asarray(state, dtype=complex)
+    mean_x = np.empty((batch, n + 1))
+    mean_x2 = np.empty((batch, n + 1))
     for i in range(n + 1):
-        _check_tail(psi)
+        for b in range(batch):
+            _check_tail(psi[b], b)
         x_psi = x_times(2 * i, psi)
-        mean_x[i] = np.vdot(psi, x_psi).real
-        mean_x2[i] = np.vdot(x_psi, x_psi).real
+        for b in range(batch):  # one dot per state keeps each row's sums
+            row, x_row = psi[b], x_psi[b]
+            mean_x[b, i] = np.vdot(row, x_row).real
+            mean_x2[b, i] = np.vdot(x_row, x_row).real
         if i == n:
             break
         k1 = gains[2 * i] * x_psi
@@ -195,4 +227,6 @@ def fock_state_moments(drive: DriveTable, state: np.ndarray):
         k3 = gains[2 * i + 1] * x_times(2 * i + 1, psi + half * k2)
         k4 = gains[2 * i + 2] * x_times(2 * i + 2, psi + dt * k3)
         psi = psi + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    if single:
+        return mean_x[0], mean_x2[0]
     return mean_x, mean_x2

@@ -178,28 +178,60 @@ def run_equivalence(scenarios):
     scenarios whose propagations share a time grid, splitting, n_points
     and record cadence run as one batched ``propagate``, whose rows they
     share if they also share the initial grid, params, field, ics and
-    match_quantum_ics.  Each report equals that of its scenario run alone.
-    An exception that escapes is re-raised as itself, with ``scenario`` set
-    to the name of the scenario it arose in: its ``row``'s in a batch, or
-    the batch's first if it has none.
+    match_quantum_ics.  After the propagations, the Fock oracles that
+    share an oracle grid, n_fock, mass, omega0 and hbar run as one batched
+    ``fock_state_moments``, whose rows they share if they also share
+    params, field, ics and match_quantum_ics.  Each report equals that of
+    its scenario run alone.  An exception that escapes is re-raised as
+    itself, with ``scenario`` set to the name of the scenario it arose in:
+    its ``row``'s in a batch, or the batch's first if it has none.
     """
     single = isinstance(scenarios, Scenario)
     scenarios = [scenarios] if single else list(scenarios)
     runs = [_run(s) for s in scenarios]
     starts = [_advance(s, run, None) for s, run in zip(scenarios, runs)]
-    groups = {}
-    for i, (s, (psi0, _)) in enumerate(zip(scenarios, starts)):
-        key = (s.time_grid, s.splitting, psi0.grid.n_points, s.record_every)
-        row = (psi0.grid, s.params, s.field, s.ics, s.match_quantum_ics)
-        groups.setdefault(key, {}).setdefault(row, []).append(i)
-    records = {}
-    for rows in groups.values():
-        firsts = [members[0] for members in rows.values()]
-        batch = _propagate([scenarios[i] for i in firsts], [starts[i] for i in firsts])
-        for members, record in zip(rows.values(), batch):
-            records.update(dict.fromkeys(members, record))
-    reports = [_advance(scenarios[i], runs[i], records[i]) for i in range(len(runs))]
+    records = _batched(
+        scenarios, starts, _propagate,
+        key=lambda s, start: (s.time_grid, s.splitting, start[0].grid.n_points,
+                              s.record_every),
+        row=lambda s, start: (start[0].grid, s.params, s.field, s.ics, s.match_quantum_ics))
+    states = [_advance(s, run, records[i])
+              for i, (s, run) in enumerate(zip(scenarios, runs))]
+    oracles = _batched(
+        scenarios, states, _fock_oracle,
+        key=lambda s, state: (_oracle_grid(s), len(state), s.params.mass, s.params.omega0,
+                              s.params.hbar),
+        row=lambda s, state: (s.params, s.field, s.ics, s.match_quantum_ics))
+    reports = [_advance(s, run, oracles.get(i))
+               for i, (s, run) in enumerate(zip(scenarios, runs))]
     return reports[0] if single else reports
+
+
+def _batched(scenarios: list, inputs: list, run, key, row) -> dict:
+    """Call ``run(group, group_inputs)`` once per batch of the scenarios whose
+    input is not None, and return each one's result by index.
+
+    Scenarios with equal ``key(s, input)`` form a batch, and those that
+    also share ``row(s, input)`` one row of it, which its first member
+    runs for all.  ``run`` returns one result per row.  An error names the
+    scenario of its ``row``, or the batch's first if it has none.
+    """
+    batches = {}
+    for i, (s, item) in enumerate(zip(scenarios, inputs)):
+        if item is not None:
+            batches.setdefault(key(s, item), {}).setdefault(row(s, item), []).append(i)
+    results = {}
+    for rows in batches.values():
+        firsts = [members[0] for members in rows.values()]
+        group = [scenarios[i] for i in firsts]
+        try:
+            batch = run(group, [inputs[i] for i in firsts])
+        except Exception as exc:
+            exc.scenario = group[getattr(exc, "row", None) or 0].name
+            raise
+        for members, result in zip(rows.values(), batch):
+            results.update(dict.fromkeys(members, result))
+    return results
 
 
 def _advance(s: Scenario, run, value):
@@ -223,19 +255,16 @@ def _propagate(group: list, starts: list) -> list:
     args = (states, [t.params for t in group], [t.field for t in group], refs)
     if len(group) == 1:  # a single propagation
         args = [arg[0] for arg in args]
-    try:
-        record = propagate(*args[:3], s.time_grid, reference_trajectory=args[3],
-                           record_every=s.record_every, splitting=s.splitting)
-    except Exception as exc:
-        exc.scenario = group[getattr(exc, "row", None) or 0].name
-        raise
+    record = propagate(*args[:3], s.time_grid, reference_trajectory=args[3],
+                       record_every=s.record_every, splitting=s.splitting)
     return [record] if len(group) == 1 else [record.row(b) for b in range(len(group))]
 
 
 def _run(s: Scenario):
     """The report of ``s``, as a generator: it yields the initial state and
-    the damping reference of its propagation, is sent the record, and
-    returns the report."""
+    the damping reference of its propagation, is sent the record, yields
+    the initial Fock state of its oracle (None with the oracle off), is
+    sent the oracle's two sups (None likewise), and returns the report."""
     params, field, grid = s.params, s.field, s.time_grid
     damped = field.gamma > 0
 
@@ -295,9 +324,8 @@ def _run(s: Scenario):
     if damped:
         decay_time = decay_certificate(ref, s.decay_threshold)
 
-    oracle_x = oracle_x2 = None
-    if s.fock_oracle:
-        oracle_x, oracle_x2 = _run_fock_oracle(s, state)
+    oracle = yield state if s.fock_oracle else None
+    oracle_x, oracle_x2 = oracle or (None, None)
 
     tolerances = {"equivalence": s.tol_equivalence, "residual": TOL_RESIDUAL,
                   "decomposition": TOL_DECOMPOSITION}
@@ -325,20 +353,35 @@ def _heisenberg(s: Scenario, grid: TimeGrid):
     return evolve_heisenberg(s.params, s.field, grid, reference_trajectory=ref)
 
 
-def _run_fock_oracle(s: Scenario, state: np.ndarray):
+def _oracle_grid(s: Scenario) -> TimeGrid:
+    """The Fock oracle's own grid, coarser than the scenario's: the state
+    ODE is smooth."""
+    steps = max(2000, int(round(s.periods * s.oracle_steps_per_period)))
+    return TimeGrid(s.time_grid.t0, s.time_grid.t1, steps)
+
+
+def _fock_oracle(group: list, states: list) -> list:
     """Independent Fock state-vector check of the closed-form Heisenberg path.
 
-    Runs on its own coarser grid (the state ODE is smooth) and returns the
-    sups over every step of |<x>_Fock - <x_H>| and |<x^2>_Fock - <x_H^2>|.
+    One ``fock_state_moments`` call for the scenarios ``group``, which
+    share an oracle grid, n_fock, mass, omega0 and hbar, from their initial
+    Fock ``states``.  Returns per scenario the sups over every step of
+    |<x>_Fock - <x_H>| and |<x^2>_Fock - <x_H^2>|.
     """
-    grid = s.time_grid
-    steps = max(2000, int(round(s.periods * s.oracle_steps_per_period)))
-    hsol = _heisenberg(s, TimeGrid(grid.t0, grid.t1, steps))
-    x_h, x2_h = closed_form_moments(hsol, state)
-    x_fock, x2_fock = fock_state_moments(hsol.drive, state)
-    x_sup = float(np.max(np.abs(x_fock - x_h)))
-    x2_sup = float(np.max(np.abs(x2_fock - x2_h)))
-    return x_sup, x2_sup
+    grid = _oracle_grid(group[0])
+    solutions = []
+    for b, s in enumerate(group):
+        try:
+            solutions.append(_heisenberg(s, grid))
+        except Exception as exc:
+            exc.row = b
+            raise
+    x_fock, x2_fock = fock_state_moments([sol.drive for sol in solutions], states)
+    sups = []
+    for sol, state, x, x2 in zip(solutions, states, x_fock, x2_fock):
+        x_h, x2_h = closed_form_moments(sol, state)
+        sups.append((float(np.max(np.abs(x - x_h))), float(np.max(np.abs(x2 - x2_h)))))
+    return sups
 
 
 def free_limit_sweep(e_values, base: Scenario) -> list:

@@ -25,8 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .classical import ClassicalTrajectory, DriveTable, build_drive_table
-from .errors import (GridTooNarrow, NotDisplacedGaussian, NotNormalized,
-                     PictureLabError, StepTooCoarse)
+from .errors import GridTooNarrow, NotDisplacedGaussian, NotNormalized, StepTooCoarse
 from .model import OscillatorParams, TimeGrid, ground_state_width
 
 #: default number of ground-state widths between the state and the grid edge
@@ -376,8 +375,8 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
     merged kinetic factor, times dt) fails the energy-scale heuristic for
     the initial state; ``check_path_step`` applies the same guard along a
     known path of the mean.  Every guard, and every moment, is evaluated
-    per state; an error a guard raises carries the index of its state as
-    ``row``.
+    per state; an error a guard raises, and any error from building a
+    state's factors, carries the index of its state as ``row``.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every!r}")
@@ -396,7 +395,7 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
     for b, row in enumerate(rows):
         try:
             factors.append(_row_factors(*row, time_grid, splitting))
-        except PictureLabError as exc:
+        except Exception as exc:
             exc.row = b
             raise
     kin, pot_exp, drive_exp, forces, phases = zip(*factors)

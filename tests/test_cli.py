@@ -346,6 +346,28 @@ def test_sweep_batches_the_entries_that_share_a_time_grid(tmp_path, monkeypatch,
     assert sizes == batches
 
 
+@pytest.mark.parametrize("axis,values,oracle,batches", [
+    ("e", "0,0.05,0.1", "true", [3]),
+    ("dt", "0.0015,0.001", "true", [1]),  # one oracle grid, one row
+    ("n_points", "256,512", "true", [1]),
+    ("n_fock", "32,64", "true", [1, 1]),  # one batch per basis size
+    ("e", "0,0.05", "false", [])])
+def test_sweep_batches_the_oracles_that_share_a_grid(tmp_path, monkeypatch, axis, values,
+                                                     oracle, batches):
+    sizes = []
+
+    def counting(drive, state):
+        sizes.append(1 if isinstance(drive, pl.DriveTable) else len(drive))
+        return fock_state_moments(drive, state)
+
+    fock_state_moments = pl.lab.fock_state_moments
+    monkeypatch.setattr(pl.lab, "fock_state_moments", counting)
+    config = write(tmp_path, set_key(TINY, "fock", "oracle", oracle))
+    assert cli.main(["sweep", str(config), "--axis", axis, "--values", values,
+                     "--out", str(tmp_path / "o")]) == 0
+    assert sizes == batches
+
+
 def set_key(text, section, key, value):
     """Config text with ``key = value`` in ``section`` (replacing any prior value)."""
     lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]

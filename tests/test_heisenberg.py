@@ -176,3 +176,100 @@ def test_damped_reference_consistency(natural):
     damped = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
     assert np.max(np.abs(damped.q)) > 0.1  # non-trivial motion
     assert np.max(np.abs(sol.xi - damped.q)) < 1e-10
+
+
+def _oracle_batch(batch):
+    # charges with 0 among them, a damped row with its reference, and
+    # displaced, boosted coherent states, all on one grid and one basis
+    tg = TimeGrid(0.0, 1.5, 600)
+    rows = [(0.8, pl.FieldModel.monochromatic(0.3, 0.5), 0.5, 0.2),
+            (0.0, pl.FieldModel.monochromatic(0.3, 0.5), -1.0, 0.0),
+            (1.0, pl.FieldModel.monochromatic(0.2, 0.7, gamma=0.15), 0.3, -0.6),
+            (1.5, pl.FieldModel.mode_sum([0.05, 0.03], [0.41, 1.73], seed=19), 0.0, 0.9)]
+    drives, states = [], []
+    for charge, field, q0, v0 in rows[:batch]:
+        params = pl.OscillatorParams(charge=charge)
+        ref = None
+        if field.gamma > 0:
+            ref = pl.solve_trajectory(params, field, InitialConditions(q0, v0),
+                                      tg.refined(2))
+        drives.append(pl.build_drive_table(params, field, tg, ref))
+        states.append(pl.coherent_state_vector(params, 48, q0, v0))
+    return drives, states
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 4])
+def test_batched_oracle_rows_equal_their_single_calls(batch):
+    drives, states = _oracle_batch(batch)
+    mean_x, mean_x2 = pl.fock_state_moments(drives, states)
+    assert mean_x.shape == mean_x2.shape == (batch, drives[0].grid.n_steps + 1)
+    for b in range(batch):
+        alone_x, alone_x2 = pl.fock_state_moments(drives[b], states[b])
+        assert np.array_equal(mean_x[b], alone_x), b
+        assert np.array_equal(mean_x2[b], alone_x2), b
+
+
+def _dense_oracle(drive, state):
+    """The oracle's RK4 loop with x_I(t) as dense products by the two
+    triangles of x, the form that the band products replace."""
+    params, tg = drive.params, drive.grid
+    x_op, _ = pl.build_ladder_operators(params, len(state))
+    above, below = np.triu(x_op, 1), np.tril(x_op, -1)
+    phases = np.exp(-1j * params.omega0 * (tg.half_times - tg.t0))
+    gains = 1j / params.hbar * drive.values
+
+    def x_times(k, vec):
+        return phases[k] * (above @ vec) + phases[k].conjugate() * (below @ vec)
+
+    psi, dt, moments = state, tg.dt, []
+    for i in range(tg.n_steps + 1):
+        x_psi = x_times(2 * i, psi)
+        moments.append((np.vdot(psi, x_psi).real, np.vdot(x_psi, x_psi).real))
+        if i < tg.n_steps:
+            k1 = gains[2 * i] * x_psi
+            k2 = gains[2 * i + 1] * x_times(2 * i + 1, psi + 0.5 * dt * k1)
+            k3 = gains[2 * i + 1] * x_times(2 * i + 1, psi + 0.5 * dt * k2)
+            k4 = gains[2 * i + 2] * x_times(2 * i + 2, psi + dt * k3)
+            psi = psi + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    return np.array(moments).T
+
+
+def test_band_products_match_the_dense_ladder():
+    # rounding may differ with the BLAS build; 1e-13 is ~500 ulps of the moments
+    drives, states = _oracle_batch(4)
+    mean_x, mean_x2 = pl.fock_state_moments(drives, states)
+    for b, (drive, state) in enumerate(zip(drives, states)):
+        dense_x, dense_x2 = _dense_oracle(drive, state)
+        np.testing.assert_allclose(mean_x[b], dense_x, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(mean_x2[b], dense_x2, rtol=0, atol=1e-13)
+
+
+def test_batched_tail_guard_trips_for_its_row(natural):
+    # row 1 is driven out of 16 levels within a period (see
+    # test_truncation_guard_fires_along_the_path); row 0 stays undriven
+    field = pl.FieldModel.monochromatic(1.0, 0.5)
+    tg = TimeGrid(0.0, natural.period, 4000)
+    drives = [pl.build_drive_table(p, field, tg)
+              for p in (pl.OscillatorParams(charge=0.0), natural)]
+    ground = pl.ground_state_vector(16)
+    with pytest.raises(pl.TruncationError) as alone:
+        pl.fock_state_moments(drives[1], ground)
+    with pytest.raises(pl.TruncationError) as batch:
+        pl.fock_state_moments(drives, [ground, ground])
+    assert batch.value.row == 1
+    assert str(batch.value) == str(alone.value)
+    # a NaN row trips it too, where a max over the rows would let it through
+    nan = np.full(16, np.nan, dtype=complex)
+    with pytest.raises(pl.TruncationError) as caught:
+        pl.fock_state_moments([drives[0]] * 3, [ground, nan, ground])
+    assert caught.value.row == 1
+
+
+def test_oracle_batch_needs_one_grid_and_one_basis(natural):
+    field = pl.FieldModel.zero()
+    drives = [pl.build_drive_table(natural, field, TimeGrid(0.0, 1.0, n)) for n in (100, 200)]
+    with pytest.raises(ValueError, match="one time grid"):
+        pl.fock_state_moments(drives, [pl.ground_state_vector(16)] * 2)
+    with pytest.raises(ValueError, match="equal length"):
+        pl.fock_state_moments([drives[0]] * 2,
+                              [pl.ground_state_vector(16), pl.ground_state_vector(32)])

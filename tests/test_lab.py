@@ -151,6 +151,39 @@ def test_foreign_error_is_reraised_naming_its_scenario(monkeypatch):
     assert caught.value.scenario == b.name and str(caught.value) == "boom"
 
 
+def test_foreign_error_from_a_batch_row_names_its_scenario(monkeypatch):
+    # the third state's factors fail with an error of no package type
+    row_factors = schrodinger._row_factors
+
+    def failing(psi, params, *args):
+        if params.charge == 1.0:
+            raise MemoryError("no room")
+        return row_factors(psi, params, *args)
+
+    monkeypatch.setattr(schrodinger, "_row_factors", failing)
+    scenarios = [quick_scenario(f"e={e:g}", params=pl.OscillatorParams(charge=e),
+                                periods=0.5, n_steps=2000) for e in (0.0, 0.5, 1.0)]
+    with pytest.raises(MemoryError) as caught:
+        pl.run_equivalence(scenarios)
+    assert caught.value.row == 2 and caught.value.scenario == "e=1"
+
+
+def test_batched_oracle_guard_names_the_scenario_of_its_row(natural):
+    # the third scenario's Fock state is driven out of 16 levels within a
+    # period (see test_truncation_guard_fires_along_the_path), the others' not
+    base = quick_scenario(field=pl.FieldModel.monochromatic(1.0, 0.5), periods=1.0,
+                          n_steps=4000, n_fock=16, fock_oracle=True)
+    scenarios = [replace(base, name=f"e={e:g}", params=replace(natural, charge=e))
+                 for e in (0.0, 0.1, 1.0)]
+    with pytest.raises(pl.TruncationError) as batch:
+        pl.run_equivalence(scenarios)
+    with pytest.raises(pl.TruncationError) as alone:
+        pl.run_equivalence(scenarios[2])
+    assert str(batch.value).startswith("[scenario e=1] last-two-level population")
+    assert str(batch.value) == str(alone.value)
+    assert batch.value.row == 2 and batch.value.scenario == "e=1"
+
+
 def test_free_limit_sweep_requires_zero():
     with pytest.raises(ValueError):
         pl.free_limit_sweep([0.01, 0.1], quick_scenario())
