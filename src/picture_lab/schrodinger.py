@@ -45,6 +45,44 @@ _G4 = (2.0 - math.sqrt(3.0)) / 48.0
 SPLITTINGS = {"strang": ((0.5, 0.5), (1.0,), (0.0,)),
               "gradient4": ((_A1, 1.0 / math.sqrt(3.0), _A1), (0.5, 0.5), (_G4, _G4))}
 
+#: the core signatures of numpy's pocketfft gufuncs (numpy >= 2.0)
+_GUFUNC_SIGNATURES = {"fft": "(n),()->(m)", "ifft": "(m),()->(n)"}
+_LAST_AXIS = [(-1,), (), (-1,)]
+
+
+def _resolve_transforms(umath):
+    """The last-axis transforms of ``propagate``, of complex128 arrays, as a
+    pair (fft, ifft).
+
+    ``umath`` is numpy's private ``numpy.fft._pocketfft_umath``, or None
+    where it cannot be imported.  Its gufuncs are what ``np.fft.fft`` and
+    ``np.fft.ifft`` call underneath, with the factor 1 or 1/n; called
+    directly they skip numpy's Python wrapper, about half the cost of a
+    call at 256 points, and give the same result bit for bit.  When
+    ``umath`` is None or its ufuncs lack the expected signatures, the pair
+    is ``np.fft.fft``/``ifft`` themselves.
+    """
+    fwd, inv = (getattr(umath, name, None) for name in _GUFUNC_SIGNATURES)
+    if (getattr(fwd, "signature", None), getattr(inv, "signature", None)) \
+            != tuple(_GUFUNC_SIGNATURES.values()):
+        return np.fft.fft, np.fft.ifft
+
+    # a fresh output per call: the loop keeps a spectrum across steps
+    def fft(a):
+        return fwd(a, 1, axes=_LAST_AXIS, out=np.empty(a.shape, complex))
+
+    def ifft(a):
+        return inv(a, 1 / a.shape[-1], axes=_LAST_AXIS, out=np.empty(a.shape, complex))
+
+    return fft, ifft
+
+
+try:
+    from numpy.fft import _pocketfft_umath
+except ImportError:  # numpy 1.x
+    _pocketfft_umath = None
+_fft, _ifft = _resolve_transforms(_pocketfft_umath)
+
 
 @dataclass(frozen=True)
 class PositionGrid:
@@ -359,7 +397,10 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
     applied to each final state.  A record step shares one forward FFT
     between the recorded state and the state that continues the run, so a
     run takes 2 * len(d) * n_steps + records transforms, of the whole
-    stack in a batch.
+    stack in a batch.  Every transform goes through the module's pair
+    ``_fft``/``_ifft``: numpy's pocketfft gufuncs called directly, or
+    ``np.fft.fft``/``ifft`` where those are missing or differ
+    (``_resolve_transforms``).  Both give the same result bit for bit.
 
     Moments are recorded at t0, every ``record_every``-th step, and the
     final time; ``record_every < 1`` raises ValueError.  Two edge guards
@@ -423,7 +464,7 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
     mean_x = np.empty((batch, len(rec_steps)))
     mean_x2 = np.empty((batch, len(rec_steps)))
     norms = np.empty((batch, len(rec_steps)))
-    fft, ifft = np.fft.fft, np.fft.ifft
+    fft, ifft = _fft, _ifft
     nyq = grids[0].n_points // 2  # -k_max; nyq - 1 is the largest positive k
 
     def record(slot, amplitudes, spectrum):

@@ -1,12 +1,13 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import picture_lab as pl
-from picture_lab import InitialConditions, TimeGrid
+from picture_lab import InitialConditions, TimeGrid, schrodinger
 
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _W0 = 1.0 - 2.0 * _W1
@@ -421,8 +422,8 @@ def test_transform_count(natural, monkeypatch, splitting, record_every, field):
             return transform(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.fft, "fft", counting(np.fft.fft))
-    monkeypatch.setattr(np.fft, "ifft", counting(np.fft.ifft))
+    monkeypatch.setattr(schrodinger, "_fft", counting(schrodinger._fft))
+    monkeypatch.setattr(schrodinger, "_ifft", counting(schrodinger._ifft))
     rec = _run(natural, field, splitting, record_every)
     kicks = pl.SPLITTINGS[splitting][1]
     assert len(calls) == 2 * len(kicks) * N_RUN + len(rec.times)
@@ -438,6 +439,52 @@ def _batch_inputs(batch):
                                  0.1 * b, 0.2 * b)
               for b, (p, r) in enumerate(zip(params, reaches))]
     return states, params
+
+
+@pytest.mark.parametrize("n_points", [256, 512, 2048])
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["1d", "stack"])
+def test_transforms_equal_np_fft_bit_for_bit(n_points, stack):
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert schrodinger._fft is not np.fft.fft  # the gufuncs, not the fallback
+    rng = np.random.default_rng(n_points + len(stack))
+    a = rng.standard_normal((*stack, n_points)) + 1j * rng.standard_normal((*stack, n_points))
+    before = a.copy()
+    for helper, reference in ((schrodinger._fft, np.fft.fft), (schrodinger._ifft, np.fft.ifft)):
+        got, want = helper(a), reference(a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bit for bit, -0.0 included
+        assert not np.shares_memory(got, a)  # a new array, not the input
+    assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("umath", [
+    None,  # the module cannot be imported (numpy 1.x)
+    SimpleNamespace(),  # no such ufuncs
+    SimpleNamespace(fft=np.matmul, ifft=np.matmul),  # other core signatures
+    SimpleNamespace(fft=np.add, ifft=np.add),  # no core signature
+], ids=["missing", "empty", "matmul", "add"])
+def test_transforms_fall_back_to_np_fft(umath):
+    fft, ifft = schrodinger._resolve_transforms(umath)
+    assert fft is np.fft.fft and ifft is np.fft.ifft
+
+
+@pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
+def test_fallback_transforms_give_the_same_run(natural, monkeypatch, splitting):
+    states, params = _batch_inputs(3)
+    tg = TimeGrid(0.0, 1.5, 600)
+
+    def runs():
+        return (_run(natural, DRIVE, splitting, 7),
+                pl.propagate(states, params, [DRIVE] * 3, tg, record_every=7,
+                             splitting=splitting))
+
+    fast = runs()
+    monkeypatch.setattr(schrodinger, "_fft", np.fft.fft)
+    monkeypatch.setattr(schrodinger, "_ifft", np.fft.ifft)
+    for got, want in zip(runs(), fast):
+        assert got.psi.psi.tobytes() == want.psi.psi.tobytes()
+        for series in ("mean_x", "mean_x2", "norms"):
+            assert getattr(got, series).tobytes() == getattr(want, series).tobytes(), series
 
 
 @pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
