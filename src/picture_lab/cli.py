@@ -202,10 +202,12 @@ def resolve_config_path(arg: str) -> Path:
 
 
 def _export(config: RunConfig, report, out_dir: Path):
+    cache = {}  # the report's rendered cells, shared by its files
     try:
         for kind, (suffix, _) in ARTIFACTS.items():
             if getattr(config, f"export_{kind}"):
-                write_artifact(report, kind, out_dir / f"{report.scenario.name}_{suffix}")
+                write_artifact(report, kind, out_dir / f"{report.scenario.name}_{suffix}",
+                               cache)
     except Exception as exc:
         exc.scenario = report.scenario.name
         raise

@@ -572,10 +572,10 @@ def test_foreign_error_names_the_batch_entry_it_arose_in(tmp_path, capsys, monke
 def test_artifact_write_error_names_its_entry(tmp_path, capsys, monkeypatch):
     write_artifact = cli.write_artifact
 
-    def failing(report, kind, path):
+    def failing(report, kind, path, cache=None):
         if report.scenario.name == "tiny_e=0.1":
             raise OSError("disk full")
-        write_artifact(report, kind, path)
+        write_artifact(report, kind, path, cache)
 
     monkeypatch.setattr(cli, "write_artifact", failing)
     assert cli.main(["sweep", str(write(tmp_path, TINY)), "--axis", "e",
