@@ -315,10 +315,12 @@ def _run(s: Scenario):
     res_max = float(residual.max())
 
     # The criticized derivation asserts the Heisenberg moment keeps its
-    # free value hbar/(2 m omega0); feed that external input through the
-    # flawed substitution.
-    claimed_h = params.hbar / (2.0 * params.mass * params.omega0)
-    flawed = flawed_pipeline_value(vacuum, claimed_h)
+    # free value hbar/(2 m omega0), and takes the vacuum term as that same
+    # closed form; feed both through the flawed substitution, whose sum is
+    # then exactly hbar/(m omega0) on every grid (the grid's quadrature of
+    # the vacuum term can be an ulp off it).
+    claimed = params.hbar / (2.0 * params.mass * params.omega0)
+    flawed = flawed_pipeline_value(claimed, claimed)
 
     decay_time = None
     if damped:

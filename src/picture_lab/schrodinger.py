@@ -30,10 +30,15 @@ from .model import OscillatorParams, TimeGrid, ground_state_width
 
 #: default number of ground-state widths between the state and the grid edge
 DEFAULT_PADDING_SIGMAS = 11.0
-#: fewest grid cells; also the floor of the sizing rule in PositionGrid.for_state
-MIN_N_POINTS = 256
+#: fewest grid cells; also the floor of the sizing rule in PositionGrid.for_state,
+#: which gives the ground state 64 at the default padding (121/pi = 38.5 cells)
+MIN_N_POINTS = 64
 
 _BOUNDARY_DENSITY_LIMIT = 1e-10  # fraction of peak density tolerated at the edge
+#: bytes of each of propagate's two block buffers, the steps' edge cells and
+#: bins and the records' states and spectra: one pass of guards and moments
+#: serves every block of steps that fills neither
+_BLOCK_BYTES = 1 << 16
 
 _A1 = 0.5 * (1.0 - 1.0 / math.sqrt(3.0))
 _G4 = (2.0 - math.sqrt(3.0)) / 48.0
@@ -121,8 +126,10 @@ class PositionGrid:
         ground-state widths.  ``n_points=None`` takes the smallest power of
         two, at least MIN_N_POINTS, whose pi/dx covers the wavenumber reach
         |max_momentum|/hbar plus ``padding_sigmas`` momentum widths
-        sqrt(m omega0 / 2 hbar) (the phase-space sampling rule of the
-        Fourier method); an explicit ``n_points`` is taken as given.
+        sqrt(m omega0 / 2 hbar): the phase-space sampling rule of the
+        Fourier method (R. Kosloff, J. Phys. Chem. 92, 2087 (1988)).  The
+        floor never binds at the default padding, where the ground state
+        alone needs 64 points; an explicit ``n_points`` is taken as given.
         """
         sigma = ground_state_width(params)
         half_width = abs(max_displacement) + padding_sigmas * sigma
@@ -359,6 +366,13 @@ def _row_factors(psi, params, field, reference, time_grid, splitting):
     return kin, pot_exp, drive_exp, forces, phase
 
 
+def _row_dots(d, v):
+    """The dot of each row of the (..., B, N) stack ``d`` with the same row
+    of the (B, N) stack ``v``, shape (..., B): one stacked product whose
+    rows are the dots np.dot takes of each pair, bit for bit."""
+    return (d[..., None, :] @ v[..., None])[..., 0, 0]
+
+
 def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None,
               record_every: int = 1, splitting: str = "strang") -> PropagationRecord:
     """Split-operator propagation under H(t) = p^2/2m + m omega0^2 x^2/2 - F(t) x.
@@ -404,15 +418,21 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
 
     Moments are recorded at t0, every ``record_every``-th step, and the
     final time; ``record_every < 1`` raises ValueError.  Two edge guards
-    run at every step and raise GridTooNarrow naming it: probability
+    check every step and raise GridTooNarrow naming it: probability
     reaching the position edge (the two edge cells, against 1e-10 of the
     peak density at the last record), and spectral weight reaching
     +-k_max (the two bins beside the Nyquist index, against 1e-10 of the
     spectral peak at the last record), which catches aliasing.  The
     spectrum is the forward FFT that each step takes anyway: its modulus
     is the current state's, as the pending kinetic factor is
-    unimodular.  StepTooCoarse is raised if the longest factor of the
-    step (the largest |coefficient| of any kick, inner kinetic factor or
+    unimodular.  The loop only kicks, transforms and multiplies: each
+    step copies its edge cells and bins, and each record its states and
+    spectrum, into two buffers of ``_BLOCK_BYTES`` each.  One vectorised
+    pass, whenever a buffer fills and at the end, takes the moments and
+    peaks of the buffered records and checks the buffered steps; it
+    names the first step, state and edge that a check after every step
+    would, with the same edge fraction.  StepTooCoarse is raised if the
+    longest factor of the step (the largest |coefficient| of any kick, inner kinetic factor or
     merged kinetic factor, times dt) fails the energy-scale heuristic for
     the initial state; ``check_path_step`` applies the same guard along a
     known path of the mean.  Every guard, and every moment, is evaluated
@@ -440,6 +460,7 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
             exc.row = b
             raise
     kin, pot_exp, drive_exp, forces, phases = zip(*factors)
+    del factors  # frees the rows' factors, which the stacks below replace
     kin, pot_exp, drive_exp = ([np.stack(factor) for factor in zip(*per_row)]
                                for per_row in (kin, pot_exp, drive_exp))
     forces = np.stack(forces, axis=-1)[..., None]  # (n_steps, kicks, B, 1)
@@ -455,54 +476,79 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
         return amplitudes * pots[j]
 
     grids = tuple(state.grid for state, *_ in rows)
-    dx = [grid.dx for grid in grids]
+    dx = np.array([grid.dx for grid in grids])
     x = np.stack([grid.x for grid in grids])
     x2 = x * x
-    n, batch = time_grid.n_steps, len(rows)
-    rec_steps = record_steps(n, record_every).tolist()
-    times = time_grid.t0 + time_grid.dt * np.asarray(rec_steps, dtype=float)
+    n, batch, size = time_grid.n_steps, len(rows), grids[0].n_points
+    rec_steps = record_steps(n, record_every)
+    times = time_grid.t0 + time_grid.dt * rec_steps.astype(float)
     mean_x = np.empty((batch, len(rec_steps)))
     mean_x2 = np.empty((batch, len(rec_steps)))
     norms = np.empty((batch, len(rec_steps)))
     fft, ifft = _fft, _ifft
-    nyq = grids[0].n_points // 2  # -k_max; nyq - 1 is the largest positive k
+    nyq = size // 2  # -k_max; nyq - 1 is the largest positive k
 
-    def record(slot, amplitudes, spectrum):
-        """Store the moments at this record.
+    # the block buffers: per step the two bins at +-k_max, then the two edge
+    # cells, of each state; per record the states and their spectrum
+    edges = np.empty((min(n + 1, max(1, _BLOCK_BYTES // (64 * batch))), batch, 4), complex)
+    depth = min(len(rec_steps), max(1, _BLOCK_BYTES // (32 * batch * size)))
+    held, held_k = (np.empty((depth, batch, size), complex) for _ in range(2))
+    # the block's first step and record, and how many of each it holds
+    first = first_rec = n_edges = n_held = 0
+    # the spectral and position edge amplitudes allowed by the last settled record
+    allowed = np.full((batch, 2), np.inf)
 
-        Returns the position and spectral edge amplitudes allowed until
-        the next record, one per state.
-        """
-        d = np.abs(amplitudes) ** 2
-        for b in range(batch):  # one dot per state keeps each row's sums
-            norms[b, slot] = math.sqrt(dx[b] * d[b].sum())
-            mean_x[b, slot] = dx[b] * float(np.dot(x[b], d[b]))
-            mean_x2[b, slot] = dx[b] * float(np.dot(x2[b], d[b]))
-        k_peak = (np.abs(spectrum) ** 2).max(axis=1)
-        return (np.sqrt(_BOUNDARY_DENSITY_LIMIT * d.max(axis=1)),
-                np.sqrt(_BOUNDARY_DENSITY_LIMIT * k_peak))
+    def settle():
+        """One pass over the buffered block: store the moments of its records,
+        then check each of its steps against the edge amplitudes allowed by
+        the last record at or before it, 1e-10 of that record's peak density
+        and spectral density.  Raises GridTooNarrow for the first step, and
+        in it the first state, whose two bins at +-k_max or, failing those,
+        two edge cells exceed them.  Empties both buffers."""
+        nonlocal first, first_rec, n_edges, n_held, allowed
+        recs = slice(first_rec, first_rec + n_held)
+        d = np.abs(held[:n_held]) ** 2
+        norms[:, recs] = np.sqrt(dx * d.sum(axis=-1)).T
+        mean_x[:, recs] = (dx * _row_dots(d, x)).T
+        mean_x2[:, recs] = (dx * _row_dots(d, x2)).T
+        peaks = np.stack(((np.abs(held_k[:n_held]) ** 2).max(axis=-1), d.max(axis=-1)),
+                         axis=-1)
+        levels = np.concatenate((allowed[None], np.sqrt(_BOUNDARY_DENSITY_LIMIT * peaks)))
+        steps = np.arange(first, first + n_edges)
+        limits = levels[np.searchsorted(rec_steps[recs], steps, side="right")]
+        block = edges[:n_edges].reshape(n_edges, batch, 2, 2)
+        # np.hypot is abs() of a complex scalar; np.abs may differ in the last bit
+        reach = np.hypot(block.real, block.imag).max(axis=-1)
+        over = reach > limits
+        if over.any():
+            i, b, kind = np.unravel_index(np.argmax(over), over.shape)
+            exc = GridTooNarrow(
+                f"{('spectral density', 'probability density')[kind]} reached the grid "
+                f"edge at step {steps[i]} (edge fraction "
+                f"{_BOUNDARY_DENSITY_LIMIT * (reach[i, b, kind] / limits[i, b, kind]) ** 2:.3g})")
+            exc.row = int(b)
+            raise exc
+        allowed = levels[-1]
+        first, first_rec, n_edges, n_held = first + n_edges, first_rec + n_held, 0, 0
 
-    def check_edges(step, amplitudes, spectrum, allowed):
-        """Raise GridTooNarrow naming ``step`` if the two bins at +-k_max,
-        then the two edge cells, of a state exceed the amplitudes ``allowed``."""
-        for b in range(batch):
-            for kind, edge, limit in (
-                    ("spectral density",
-                     max(abs(spectrum[b, nyq - 1]), abs(spectrum[b, nyq])), allowed[1][b]),
-                    ("probability density",
-                     max(abs(amplitudes[b, 0]), abs(amplitudes[b, -1])), allowed[0][b])):
-                if edge > limit:
-                    exc = GridTooNarrow(
-                        f"{kind} reached the grid edge at step {step} (edge fraction "
-                        f"{_BOUNDARY_DENSITY_LIMIT * (edge / limit) ** 2:.3g})")
-                    exc.row = b
-                    raise exc
+    def hold(amplitudes, spectrum, recorded):
+        """Buffer a step's edge cells and bins, and a record's state and
+        spectrum; settle the block when a buffer is full or the run ends."""
+        nonlocal n_edges, n_held
+        edges[n_edges, :, :2] = spectrum[:, nyq - 1:nyq + 1]
+        edges[n_edges, :, 2:] = amplitudes[:, ::size - 1]
+        n_edges += 1
+        if recorded:
+            held[n_held] = amplitudes
+            held_k[n_held] = spectrum
+            n_held += 1
+        if n_edges == len(edges) or n_held == depth or first + n_edges > n:
+            settle()
 
     cur = np.stack([state.psi for state, *_ in rows])
     spectrum = fft(cur)
-    allowed = record(0, cur, spectrum)
-    check_edges(0, cur, spectrum, allowed)
-    next_rec = 1
+    hold(cur, spectrum, True)
+    marks, next_rec = rec_steps.tolist(), 1
     # staggered state: leading kinetic factor applied, trailing one pending
     stag = ifft(spectrum * lead)
     for step in range(n):
@@ -511,19 +557,18 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
         spectrum = fft(kick(stag, step, last))
         if step < n - 1:  # the last step is a record step
             stag = ifft(spectrum * wrap)
-        if rec_steps[next_rec] == step + 1:
+        if marks[next_rec] == step + 1:
             cur = ifft(spectrum * tail)
-            allowed = record(next_rec, cur, spectrum)
             next_rec += 1
-            check_edges(step + 1, cur, spectrum, allowed)
+            hold(cur, spectrum, True)
         else:
             # the two edge cells catch a packet crossing the periodic
             # boundary, and the two bins at +-k_max one aliasing
-            check_edges(step + 1, stag, spectrum, allowed)
+            hold(stag, spectrum, False)
 
     for b, phase in enumerate(phases):
         if phase:  # the kicks' F^2 terms
             cur[b] *= np.exp(1j * phase)
-    result = PropagationRecord(psi=StateStack(grids, cur), steps=np.asarray(rec_steps),
+    result = PropagationRecord(psi=StateStack(grids, cur), steps=rec_steps,
                                times=times, mean_x=mean_x, mean_x2=mean_x2, norms=norms)
     return result.row(0) if single else result

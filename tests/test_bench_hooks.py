@@ -102,7 +102,7 @@ def test_bench_spans_record_what_layer_metrics_reads(tmp_path, monkeypatch):
         assert any(s.counters.get(key, 0) > 0 for s in tracer.spans), key
 
 
-def test_sweep_fixed_grids_sized_to_256(tmp_path, monkeypatch):
+def test_sweep_fixed_grids_sized_to_64(tmp_path, monkeypatch):
     _load_bench_module(monkeypatch, "spans", "spans.py")  # run.py imports it
     monkeypatch.setattr(os, "environ", dict(os.environ))  # run.py pins threads
     run = _load_bench_module(monkeypatch, "bench_run", "run.py")
@@ -111,4 +111,4 @@ def test_sweep_fixed_grids_sized_to_256(tmp_path, monkeypatch):
     for charge in charges:
         s = replace(base, params=replace(base.params, charge=float(charge)),
                     fock_oracle=False)
-        assert lab.run_equivalence(s).final_state.grid.n_points == 256
+        assert lab.run_equivalence(s).final_state.grid.n_points == 64

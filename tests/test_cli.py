@@ -481,7 +481,7 @@ def test_explicit_n_points_is_honoured(tmp_path):
     text = set_key(TINY, "run", "export_snapshots", "true")
     out = tmp_path / "o"
     assert cli.main(["run", str(write(tmp_path, text)), "--out", str(out), "--quiet"]) == 0
-    assert snapshot_rows(out / "tiny_final_state.csv") == 256
+    assert snapshot_rows(out / "tiny_final_state.csv") == 64
     fixed = write(tmp_path, set_key(text, "grid", "n_points", "1024"), "fixed.cfg")
     assert cli.main(["run", str(fixed), "--out", str(out), "--quiet"]) == 0
     assert snapshot_rows(out / "tiny_final_state.csv") == 1024

@@ -78,6 +78,19 @@ def test_report_flawed_value_doubles_free_moment():
                                                     abs=1e-12)
 
 
+@pytest.mark.parametrize("n_points", [64, 128, 256, 512, 1024])
+def test_flawed_value_is_exact_on_every_grid(n_points):
+    # the grid's quadrature of the vacuum term can be an ulp off 1/2 (at 512
+    # points it is); the flawed pipeline takes the criticized closed form
+    free = pl.golden_scenarios()["free"]
+    s = replace(free, n_points=n_points, fock_oracle=False,
+                time_grid=TimeGrid(0.0, 0.1 * free.params.period, 320))
+    report = pl.run_equivalence(s)
+    assert report.final_state.grid.n_points == n_points
+    assert report.flawed_eq6_value == free.params.hbar / (free.params.mass
+                                                          * free.params.omega0)
+
+
 def test_free_limit_sweep_continuity_and_scaling():
     base = quick_scenario("limit", periods=1.0, n_steps=40_000,
                           field=pl.FieldModel.monochromatic(1.0, 0.5))
@@ -260,7 +273,7 @@ def test_golden_scenarios_well_formed():
 
 
 def test_golden_grids_sized_from_the_state(golden_reports):
-    # every golden packet's phase-space reach fits the smallest grid
+    # the sizing rule gives every golden packet 64 points, its ground state's size
     for rep in golden_reports.values():
         assert rep.scenario.n_points is None
-        assert rep.final_state.grid.n_points == 256
+        assert rep.final_state.grid.n_points == 64

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -121,7 +122,7 @@ def test_decompose_x2_rejects_wrong_center(free_params, grid):
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        pl.PositionGrid(half_width=5.0, n_points=100)   # too few points
+        pl.PositionGrid(half_width=5.0, n_points=32)    # too few points
     with pytest.raises(ValueError):
         pl.PositionGrid(half_width=5.0, n_points=1000)  # not a power of two
 
@@ -268,15 +269,20 @@ def test_propagate_detects_spectral_weight_at_k_edge(free_params, splitting):
     # released from x = 15, the packet passes x = 0 with momentum 15 after a
     # quarter period: the grid holds it in position, but 256 points give
     # pi/dx = 17.6, and its spectrum wraps round +-k_max.  Every step reads
-    # the same spectrum, so every record cadence names the same step.
+    # the same spectrum, so every record cadence names the same step, alone
+    # and as row 2 of a batch whose other packets stay clear.
     tg = TimeGrid(0.0, 0.25 * free_params.period, 8000)
     pgrid = pl.PositionGrid.for_state(free_params, 15.0, n_points=256)
-    psi = pl.displaced_state(free_params, pgrid, 15.0)
+    states = [pl.displaced_state(free_params, pgrid, q0) for q0 in (0.0, 1.0, 15.0)]
     for record_every in (1, 7, tg.n_steps):
         with pytest.raises(pl.GridTooNarrow, match="spectral density .* at step") as exc:
-            pl.propagate(psi, free_params, pl.FieldModel.zero(), tg,
+            pl.propagate(states[2], free_params, pl.FieldModel.zero(), tg,
                          record_every=record_every, splitting=splitting)
         assert _edge_step(exc) == 5245, record_every
+        with pytest.raises(pl.GridTooNarrow) as batch:
+            pl.propagate(states, [free_params] * 3, [pl.FieldModel.zero()] * 3, tg,
+                         record_every=record_every, splitting=splitting)
+        assert batch.value.row == 2 and str(batch.value) == str(exc.value), record_every
     pgrid = pl.PositionGrid.for_state(free_params, 15.0, n_points=512)
     psi = pl.displaced_state(free_params, pgrid, 15.0)
     rec = pl.propagate(psi, free_params, pl.FieldModel.zero(), tg,
@@ -284,17 +290,30 @@ def test_propagate_detects_spectral_weight_at_k_edge(free_params, splitting):
     assert abs(rec.mean_x[-1]) < 1e-3  # it did reach x = 0
 
 
+def test_propagate_checks_the_initial_state(free_params):
+    # boosted to momentum 48 on 256 points (pi/dx = 51.7), the packet's
+    # spectrum reaches +-k_max before the first step: the guard names step 0
+    tg = TimeGrid(0.0, 1.0, 1000)
+    pgrid = pl.PositionGrid.for_state(free_params, n_points=256)
+    psi = pl.displaced_state(free_params, pgrid, 0.0, velocity=48.0)
+    for record_every in (1, 7, tg.n_steps):
+        with pytest.raises(pl.GridTooNarrow, match="spectral density .* at step 0 "):
+            pl.propagate(psi, free_params, pl.FieldModel.zero(), tg,
+                         record_every=record_every)
+
+
 def test_for_state_sizes_from_both_reaches(natural):
     # pi/dx = pi n / 2L must cover |p|/hbar + 11 momentum widths sqrt(1/2)
+    # half as many points would not do at any reach, the ground state's
+    # included: the rule, not the MIN_N_POINTS floor, picks the size
     sigma = pl.ground_state_width(natural)
-    assert pl.PositionGrid.for_state(natural).n_points == 256
-    for reach, n_points in ((0.0, 256), (15.0, 512), (40.0, 2048)):
+    assert pl.PositionGrid.for_state(natural).n_points == 64
+    for reach, n_points in ((0.0, 64), (15.0, 512), (40.0, 2048)):
         grid = pl.PositionGrid.for_state(natural, reach, max_momentum=reach)
         assert grid.n_points == n_points
         k_reach = reach + 11.0 * 0.5 / sigma
         assert math.pi / grid.dx >= k_reach
-        if n_points > 256:  # and half as many points would not do
-            assert math.pi / (2.0 * grid.dx) < k_reach
+        assert math.pi / (2.0 * grid.dx) < k_reach
     assert pl.PositionGrid.for_state(natural, 15.0, n_points=256,
                                      max_momentum=15.0).n_points == 256
 
@@ -429,13 +448,13 @@ def test_transform_count(natural, monkeypatch, splitting, record_every, field):
     assert len(calls) == 2 * len(kicks) * N_RUN + len(rec.times)
 
 
-def _batch_inputs(batch):
+def _batch_inputs(batch, n_points=256):
     # different charges (0 among them: an undriven row in a driven batch),
     # reaches and so half-widths, and initial states
     charges = (0.8, 0.0, 1.5, 0.4)[:batch]
     reaches = (1.0, 2.0, 3.0, 1.5)[:batch]
     params = [pl.OscillatorParams(charge=e) for e in charges]
-    states = [pl.displaced_state(p, pl.PositionGrid.for_state(p, r, n_points=256),
+    states = [pl.displaced_state(p, pl.PositionGrid.for_state(p, r, n_points=n_points),
                                  0.1 * b, 0.2 * b)
               for b, (p, r) in enumerate(zip(params, reaches))]
     return states, params
@@ -510,19 +529,78 @@ def test_batch_rows_equal_their_single_runs(splitting, batch):
         assert np.array_equal(row.times, alone.times)
 
 
-def test_batch_guard_names_its_row(free_params):
+def test_batch_guard_names_its_row(free_params, monkeypatch):
     # the packet of row 2 swings out to the edge of its grid (see
-    # test_propagate_detects_edge_contact_between_records); rows 0 and 1 stay clear
+    # test_propagate_detects_edge_contact_between_records); rows 0 and 1 stay
+    # clear.  Whether a block of guards holds one step, some or the whole
+    # run, the guard names the step, row and edge fraction that a check
+    # after every step names.
     narrow = pl.PositionGrid(half_width=6.0, n_points=512)
     states = [pl.displaced_state(free_params, narrow, 0.0, velocity=v)
               for v in (0.0, 0.5, 1.6)]
     tg = TimeGrid(0.0, free_params.period, 4000)
-    with pytest.raises(pl.GridTooNarrow) as alone:
-        pl.propagate(states[2], free_params, pl.FieldModel.zero(), tg)
-    with pytest.raises(pl.GridTooNarrow) as batch:
-        pl.propagate(states, [free_params] * 3, [pl.FieldModel.zero()] * 3, tg)
-    assert batch.value.row == 2
-    assert str(batch.value) == str(alone.value)
+    for block_bytes in (1, schrodinger._BLOCK_BYTES, 1 << 22):
+        monkeypatch.setattr(schrodinger, "_BLOCK_BYTES", block_bytes)
+        for record_every, step, fraction in ((1, 526, "1.01e-10"), (7, 526, "1.02e-10"),
+                                             (tg.n_steps, 525, "1e-10")):
+            with pytest.raises(pl.GridTooNarrow) as alone:
+                pl.propagate(states[2], free_params, pl.FieldModel.zero(), tg,
+                             record_every=record_every)
+            with pytest.raises(pl.GridTooNarrow) as batch:
+                pl.propagate(states, [free_params] * 3, [pl.FieldModel.zero()] * 3, tg,
+                             record_every=record_every)
+            assert batch.value.row == 2, (block_bytes, record_every)
+            assert str(batch.value) == str(alone.value) == (
+                f"probability density reached the grid edge at step {step} "
+                f"(edge fraction {fraction})")
+
+
+@pytest.mark.parametrize("n_points", [64, 256, 2048])
+@pytest.mark.parametrize("batch", [1, 3, 4])
+def test_row_dots_equal_np_dot_bit_for_bit(n_points, batch):
+    rng = np.random.default_rng(n_points + batch)
+    d = rng.random((5, batch, n_points))
+    v = rng.standard_normal((batch, n_points))
+    got = schrodinger._row_dots(d, v)
+    assert got.shape == (5, batch)
+    for r in range(5):
+        for b in range(batch):
+            assert got[r, b].tobytes() == np.float64(np.dot(v[b], d[r, b])).tobytes()
+
+
+@pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
+def test_recorded_moments_are_the_per_state_quadratures(natural, splitting):
+    # the last record holds the final state's moments, each taken by the
+    # per-state formula; no drive, so no F^2 phase alters the final state
+    states, params = _batch_inputs(3)
+    rec = pl.propagate(states, params, [pl.FieldModel.zero()] * 3,
+                       TimeGrid(0.0, 1.5, 600), record_every=7, splitting=splitting)
+    for b in range(3):
+        grid, d = rec.psi[b].grid, rec.psi[b].density()
+        assert rec.norms[b, -1] == math.sqrt(grid.dx * d.sum())
+        assert rec.mean_x[b, -1] == grid.dx * float(np.dot(grid.x, d))
+        assert rec.mean_x2[b, -1] == grid.dx * float(np.dot(grid.x * grid.x, d))
+
+
+#: tracemalloc peaks of propagate on the test below, with the guards checked
+#: and the moments taken after every step
+PER_STEP_PEAK = {"strang": 2.22e6, "gradient4": 3.17e6}
+
+
+@pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
+def test_block_buffers_keep_the_peak(splitting):
+    # 2048 points, a batch of 4, records only at the ends: the block buffers
+    # hold a few hundred steps' edges and one record
+    states, params = _batch_inputs(4, n_points=2048)
+    tg = TimeGrid(0.0, 1.5, 600)
+    tracemalloc.start()
+    try:
+        pl.propagate(states, params, [DRIVE] * 4, tg, record_every=tg.n_steps,
+                     splitting=splitting)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PER_STEP_PEAK[splitting]
 
 
 def test_batch_needs_equal_n_points(free_params):
