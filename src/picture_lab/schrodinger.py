@@ -18,6 +18,7 @@ complex state so that this can be tested rather than assumed.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,9 +36,9 @@ DEFAULT_PADDING_SIGMAS = 11.0
 MIN_N_POINTS = 64
 
 _BOUNDARY_DENSITY_LIMIT = 1e-10  # fraction of peak density tolerated at the edge
-#: bytes of each of propagate's two block buffers, the steps' edge cells and
-#: bins and the records' states and spectra: one pass of guards and moments
-#: serves every block of steps that fills neither
+#: bytes of each of propagate's block buffers, one row per step: the spectra,
+#: the staggered or record states, and each kick's factors; one pass of record
+#: transforms, moments and guards serves each block of steps
 _BLOCK_BYTES = 1 << 16
 
 _A1 = 0.5 * (1.0 - 1.0 / math.sqrt(3.0))
@@ -55,9 +56,20 @@ _GUFUNC_SIGNATURES = {"fft": "(n),()->(m)", "ifft": "(m),()->(n)"}
 _LAST_AXIS = [(-1,), (), (-1,)]
 
 
+def _copying_out(transform):
+    """``transform``, taking ``out=`` by copying its result into it: np.fft
+    accepts ``out`` only from numpy 2.0 on."""
+    def call(a, out=None):
+        if out is None:
+            return transform(a)
+        out[...] = transform(a)
+        return out
+    return call
+
+
 def _resolve_transforms(umath):
     """The last-axis transforms of ``propagate``, of complex128 arrays, as a
-    pair (fft, ifft).
+    pair (fft, ifft), each called as ``fft(a)`` or ``fft(a, out=buffer)``.
 
     ``umath`` is numpy's private ``numpy.fft._pocketfft_umath``, or None
     where it cannot be imported.  Its gufuncs are what ``np.fft.fft`` and
@@ -65,19 +77,23 @@ def _resolve_transforms(umath):
     directly they skip numpy's Python wrapper, about half the cost of a
     call at 256 points, and give the same result bit for bit.  When
     ``umath`` is None or its ufuncs lack the expected signatures, the pair
-    is ``np.fft.fft``/``ifft`` themselves.
+    is ``np.fft.fft``/``ifft`` themselves, wrapped by ``_copying_out`` where
+    they take no ``out``.
     """
     fwd, inv = (getattr(umath, name, None) for name in _GUFUNC_SIGNATURES)
     if (getattr(fwd, "signature", None), getattr(inv, "signature", None)) \
             != tuple(_GUFUNC_SIGNATURES.values()):
-        return np.fft.fft, np.fft.ifft
+        if "out" in inspect.signature(np.fft.fft).parameters:
+            return np.fft.fft, np.fft.ifft
+        return _copying_out(np.fft.fft), _copying_out(np.fft.ifft)
 
-    # a fresh output per call: the loop keeps a spectrum across steps
-    def fft(a):
-        return fwd(a, 1, axes=_LAST_AXIS, out=np.empty(a.shape, complex))
+    # a fresh output unless one is given: the loop keeps a spectrum across steps
+    def fft(a, out=None):
+        return fwd(a, 1, axes=_LAST_AXIS, out=np.empty(a.shape, complex) if out is None else out)
 
-    def ifft(a):
-        return inv(a, 1 / a.shape[-1], axes=_LAST_AXIS, out=np.empty(a.shape, complex))
+    def ifft(a, out=None):
+        return inv(a, 1 / a.shape[-1], axes=_LAST_AXIS,
+                   out=np.empty(a.shape, complex) if out is None else out)
 
     return fft, ifft
 
@@ -410,8 +426,8 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
     global phase g_j dt^3 F^2 / hbar m, which is summed over the run and
     applied to each final state.  A record step shares one forward FFT
     between the recorded state and the state that continues the run, so a
-    run takes 2 * len(d) * n_steps + records transforms, of the whole
-    stack in a batch.  Every transform goes through the module's pair
+    run takes 2 * len(d) * n_steps + records transforms of the (B, N)
+    stack.  Every transform goes through the module's pair
     ``_fft``/``_ifft``: numpy's pocketfft gufuncs called directly, or
     ``np.fft.fft``/``ifft`` where those are missing or differ
     (``_resolve_transforms``).  Both give the same result bit for bit.
@@ -425,13 +441,17 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
     spectral peak at the last record), which catches aliasing.  The
     spectrum is the forward FFT that each step takes anyway: its modulus
     is the current state's, as the pending kinetic factor is
-    unimodular.  The loop only kicks, transforms and multiplies: each
-    step copies its edge cells and bins, and each record its states and
-    spectrum, into two buffers of ``_BLOCK_BYTES`` each.  One vectorised
-    pass, whenever a buffer fills and at the end, takes the moments and
-    peaks of the buffered records and checks the buffered steps; it
-    names the first step, state and edge that a check after every step
-    would, with the same edge fraction.  StepTooCoarse is raised if the
+    unimodular.  The loop only kicks, transforms and multiplies: each step
+    transforms into one row of two (block, B, N) buffers of
+    ``_BLOCK_BYTES`` each, its spectrum and its staggered state, and
+    reads its kick factors from one more such buffer per kick, built for
+    the whole block before it.  One vectorised pass per block, and at the end, transforms the
+    spectra of its record steps into their record states in one stacked
+    call, takes their moments and peaks, and checks every buffered step's
+    edge cells and bins; it names the first step, state and edge that a
+    check after every step would, with the same edge fraction.  Every
+    state, moment and message equals that of a loop doing all this per
+    step, bit for bit.  StepTooCoarse is raised if the
     longest factor of the step (the largest |coefficient| of any kick, inner kinetic factor or
     merged kinetic factor, times dt) fails the energy-scale heuristic for
     the initial state; ``check_path_step`` applies the same guard along a
@@ -464,16 +484,10 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
     kin, pot_exp, drive_exp = ([np.stack(factor) for factor in zip(*per_row)]
                                for per_row in (kin, pot_exp, drive_exp))
     forces = np.stack(forces, axis=-1)[..., None]  # (n_steps, kicks, B, 1)
-    pots = [np.exp(e) for e in pot_exp]
     joins = kin[1:-1]  # inside one step
     lead, tail, wrap = kin[0], kin[-1], kin[-1] * kin[0]
     driven = bool(np.any(forces))
     last = len(pot_exp) - 1
-
-    def kick(amplitudes, step, j):
-        if driven:
-            return amplitudes * np.exp(pot_exp[j] + forces[step, j] * drive_exp[j])
-        return amplitudes * pots[j]
 
     grids = tuple(state.grid for state, *_ in rows)
     dx = np.array([grid.dx for grid in grids])
@@ -488,35 +502,60 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
     fft, ifft = _fft, _ifft
     nyq = size // 2  # -k_max; nyq - 1 is the largest positive k
 
-    # the block buffers: per step the two bins at +-k_max, then the two edge
-    # cells, of each state; per record the states and their spectrum
-    edges = np.empty((min(n + 1, max(1, _BLOCK_BYTES // (64 * batch))), batch, 4), complex)
-    depth = min(len(rec_steps), max(1, _BLOCK_BYTES // (32 * batch * size)))
-    held, held_k = (np.empty((depth, batch, size), complex) for _ in range(2))
-    # the block's first step and record, and how many of each it holds
-    first = first_rec = n_edges = n_held = 0
-    # the spectral and position edge amplitudes allowed by the last settled record
+    # the block buffers, row i of a block for step i of it: the spectrum the
+    # step ends on, and the state it leaves, staggered or, at a record, the
+    # record state the block pass puts there; and the step's kick factors
+    depth = min(n, max(1, _BLOCK_BYTES // (16 * batch * size)))
+    spectra, stags = (np.empty((depth, batch, size), complex) for _ in range(2))
+    if driven:
+        kicks = [np.empty((depth, batch, size), complex) for _ in pot_exp]
+    else:
+        kicks = [np.broadcast_to(np.exp(e), (depth, batch, size)) for e in pot_exp]
+    # the block's first state (step index) and record; the spectral and
+    # position edge amplitudes allowed by the last settled record
+    first = first_rec = 0
     allowed = np.full((batch, 2), np.inf)
 
-    def settle():
-        """One pass over the buffered block: store the moments of its records,
-        then check each of its steps against the edge amplitudes allowed by
-        the last record at or before it, 1e-10 of that record's peak density
-        and spectral density.  Raises GridTooNarrow for the first step, and
-        in it the first state, whose two bins at +-k_max or, failing those,
-        two edge cells exceed them.  Empties both buffers."""
-        nonlocal first, first_rec, n_edges, n_held, allowed
-        recs = slice(first_rec, first_rec + n_held)
-        d = np.abs(held[:n_held]) ** 2
+    def load(step):
+        """The kick factors exp(pot_exp + F drive_exp) of the block of steps
+        from ``step`` on, each built in its buffer row."""
+        if driven:
+            for j, factors in enumerate(kicks):
+                force = forces[step:step + depth, j]
+                part = factors[:len(force)]
+                np.multiply(force, drive_exp[j], out=part)
+                part += pot_exp[j]
+                np.exp(part, out=part)
+
+    def settle(count):
+        """One pass over the block's ``count`` buffered states: transform the
+        spectra of its records into their record states, store their
+        moments, then check each state against the edge amplitudes allowed
+        by the last record at or before it, 1e-10 of that record's peak
+        density and spectral density.  Raises GridTooNarrow for the first
+        step, and in it the first state, whose two bins at +-k_max or,
+        failing those, two edge cells exceed them."""
+        nonlocal first, first_rec, allowed
+        steps = np.arange(first, first + count)
+        n_rec = int(np.searchsorted(rec_steps, first + count)) - first_rec
+        recs = slice(first_rec, first_rec + n_rec)
+        held = rec_steps[recs] - first
+        todo = held[rec_steps[recs] > 0]  # the initial state is given
+        if len(todo):
+            stags[todo] = ifft(spectra[todo] * tail)
+        d = np.abs(stags[held]) ** 2
         norms[:, recs] = np.sqrt(dx * d.sum(axis=-1)).T
         mean_x[:, recs] = (dx * _row_dots(d, x)).T
         mean_x2[:, recs] = (dx * _row_dots(d, x2)).T
-        peaks = np.stack(((np.abs(held_k[:n_held]) ** 2).max(axis=-1), d.max(axis=-1)),
+        peaks = np.stack(((np.abs(spectra[held]) ** 2).max(axis=-1), d.max(axis=-1)),
                          axis=-1)
         levels = np.concatenate((allowed[None], np.sqrt(_BOUNDARY_DENSITY_LIMIT * peaks)))
-        steps = np.arange(first, first + n_edges)
         limits = levels[np.searchsorted(rec_steps[recs], steps, side="right")]
-        block = edges[:n_edges].reshape(n_edges, batch, 2, 2)
+        # per state the two bins at +-k_max, then the two edge cells: the
+        # cells catch a packet crossing the periodic boundary, the bins aliasing
+        block = np.concatenate((spectra[:count, :, nyq - 1:nyq + 1],
+                                stags[:count, :, ::size - 1]), axis=-1)
+        block = block.reshape(count, batch, 2, 2)
         # np.hypot is abs() of a complex scalar; np.abs may differ in the last bit
         reach = np.hypot(block.real, block.imag).max(axis=-1)
         over = reach > limits
@@ -529,43 +568,32 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
             exc.row = int(b)
             raise exc
         allowed = levels[-1]
-        first, first_rec, n_edges, n_held = first + n_edges, first_rec + n_held, 0, 0
+        first, first_rec = first + count, first_rec + n_rec
 
-    def hold(amplitudes, spectrum, recorded):
-        """Buffer a step's edge cells and bins, and a record's state and
-        spectrum; settle the block when a buffer is full or the run ends."""
-        nonlocal n_edges, n_held
-        edges[n_edges, :, :2] = spectrum[:, nyq - 1:nyq + 1]
-        edges[n_edges, :, 2:] = amplitudes[:, ::size - 1]
-        n_edges += 1
-        if recorded:
-            held[n_held] = amplitudes
-            held_k[n_held] = spectrum
-            n_held += 1
-        if n_edges == len(edges) or n_held == depth or first + n_edges > n:
-            settle()
-
-    cur = np.stack([state.psi for state, *_ in rows])
-    spectrum = fft(cur)
-    hold(cur, spectrum, True)
-    marks, next_rec = rec_steps.tolist(), 1
+    stags[0] = [state.psi for state, *_ in rows]
+    spectrum = fft(stags[0], out=spectra[0])
     # staggered state: leading kinetic factor applied, trailing one pending
     stag = ifft(spectrum * lead)
+    settle(1)
+    load(0)
+    marks, next_rec = rec_steps.tolist(), 1
     for step in range(n):
+        i = step % depth
         for j in range(last):
-            stag = ifft(fft(kick(stag, step, j)) * joins[j])
-        spectrum = fft(kick(stag, step, last))
-        if step < n - 1:  # the last step is a record step
-            stag = ifft(spectrum * wrap)
+            stag = ifft(fft(stag * kicks[j][i]) * joins[j])
+        spectrum = fft(stag * kicks[last][i], out=spectra[i])
         if marks[next_rec] == step + 1:
-            cur = ifft(spectrum * tail)
             next_rec += 1
-            hold(cur, spectrum, True)
+            if step < n - 1:  # the last step is a record step
+                # a fresh array: the block pass puts the record state in row i
+                stag = ifft(spectrum * wrap)
         else:
-            # the two edge cells catch a packet crossing the periodic
-            # boundary, and the two bins at +-k_max one aliasing
-            hold(stag, spectrum, False)
+            stag = ifft(spectrum * wrap, out=stags[i])
+        if i == depth - 1 or step == n - 1:
+            settle(i + 1)
+            load(step + 1)
 
+    cur = stags[(n - 1) % depth].copy()
     for b, phase in enumerate(phases):
         if phase:  # the kicks' F^2 terms
             cur[b] *= np.exp(1j * phase)
