@@ -234,6 +234,21 @@ def test_damped_gradient4_run_agrees_with_heisenberg_and_classical():
     assert report.ehrenfest_sup < 1e-5
 
 
+def test_pictures_agree_on_a_moving_start():
+    # every golden starts at rest, so the triple's <xp + px> term only meets
+    # a state whose <x><p> is 0; from q0 = 1, v0 = 0.4 it reaches both
+    # moments.  Here the sups read 5.5e-7 and 2.4e-11; with that term
+    # dropped from closed_form_moments both read 0.40
+    golden = pl.golden_scenarios()["driven"]
+    t0, dt = golden.time_grid.t0, golden.time_grid.dt
+    s = replace(golden, name="moving", ics=InitialConditions(1.0, 0.4),
+                time_grid=TimeGrid(t0, t0 + 12_800 * dt, 12_800))
+    assert s.periods == pytest.approx(2.0)
+    report = pl.run_equivalence(s)
+    assert report.sup_discrepancy < 1e-5
+    assert report.oracle_moment_sup < 1e-9
+
+
 def test_mismatched_ics_break_identification_but_not_equivalence():
     s = quick_scenario("mismatch", periods=2.0, n_steps=14_000,
                        ics=InitialConditions(1.0, 0.0),
