@@ -38,8 +38,9 @@ MIN_N_POINTS = 64
 _BOUNDARY_DENSITY_LIMIT = 1e-10  # fraction of peak density tolerated at the edge
 #: bytes of each of propagate's block buffers, one row per step: the spectra,
 #: the staggered or record states, and each kick's factors; one pass of record
-#: transforms, moments and guards serves each block of steps
-_BLOCK_BYTES = 1 << 16
+#: transforms, moments and guards serves each block of steps, and its ~50 numpy
+#: calls cost some 150 us, so a block of (3, 64) stacks holds 42 steps
+_BLOCK_BYTES = 1 << 17
 
 _A1 = 0.5 * (1.0 - 1.0 / math.sqrt(3.0))
 _G4 = (2.0 - math.sqrt(3.0)) / 48.0
@@ -89,7 +90,8 @@ def _resolve_transforms(umath):
 
     # a fresh output unless one is given: the loop keeps a spectrum across steps
     def fft(a, out=None):
-        return fwd(a, 1, axes=_LAST_AXIS, out=np.empty(a.shape, complex) if out is None else out)
+        return fwd(a, 1, axes=_LAST_AXIS,
+                   out=np.empty(a.shape, complex) if out is None else out)
 
     def ifft(a, out=None):
         return inv(a, 1 / a.shape[-1], axes=_LAST_AXIS,
@@ -250,8 +252,8 @@ def decompose_x2(psi: GridWavefunction, center: float) -> tuple:
 def phase_history(params: OscillatorParams, traj: ClassicalTrajectory) -> np.ndarray:
     """Global phase S(t) of the exact displaced solution along a trajectory.
 
-    S(t) = action(t)/hbar - omega0 t / 2, with the action accumulated by
-    the classical integrator.
+    S(t) = action(t)/hbar - omega0 t / 2, with the action taken by the
+    RK4 stages along the trajectory (``ClassicalTrajectory.action``).
     """
     rel_t = traj.times - traj.grid.t0
     return traj.action / params.hbar - 0.5 * params.omega0 * rel_t
@@ -445,13 +447,13 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
     transforms into one row of two (block, B, N) buffers of
     ``_BLOCK_BYTES`` each, its spectrum and its staggered state, and
     reads its kick factors from one more such buffer per kick, built for
-    the whole block before it.  One vectorised pass per block, and at the end, transforms the
-    spectra of its record steps into their record states in one stacked
-    call, takes their moments and peaks, and checks every buffered step's
-    edge cells and bins; it names the first step, state and edge that a
-    check after every step would, with the same edge fraction.  Every
-    state, moment and message equals that of a loop doing all this per
-    step, bit for bit.  StepTooCoarse is raised if the
+    the whole block before it.  One vectorised pass per block transforms
+    the spectra of its record steps into their record states in one
+    stacked call, takes their moments and peaks, and checks every
+    buffered step's edge cells and bins; it names the first step, state
+    and edge that a check after every step would, with the same edge
+    fraction.  Every state, moment and message equals that of a loop
+    doing all this per step, bit for bit.  StepTooCoarse is raised if the
     longest factor of the step (the largest |coefficient| of any kick, inner kinetic factor or
     merged kinetic factor, times dt) fails the energy-scale heuristic for
     the initial state; ``check_path_step`` applies the same guard along a
