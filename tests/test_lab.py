@@ -235,10 +235,11 @@ def test_damped_gradient4_run_agrees_with_heisenberg_and_classical():
 
 
 def test_pictures_agree_on_a_moving_start():
-    # every golden starts at rest, so the triple's <xp + px> term only meets
-    # a state whose <x><p> is 0; from q0 = 1, v0 = 0.4 it reaches both
-    # moments.  Here the sups read 5.5e-7 and 2.4e-11; with that term
-    # dropped from closed_form_moments both read 0.40
+    # every golden starts at rest, where a coherent state's <xp + px> =
+    # 2 <x><p> is 0, so no golden sees the triple's a b <xp + px> term.
+    # The driven golden for 2 periods from q0 = 1, v0 = 0.4: the sups read
+    # 5.5e-7 and 2.4e-11, and both 0.40 with that term dropped from
+    # closed_form_moments
     golden = pl.golden_scenarios()["driven"]
     t0, dt = golden.time_grid.t0, golden.time_grid.dt
     s = replace(golden, name="moving", ics=InitialConditions(1.0, 0.4),
