@@ -330,17 +330,22 @@ def build_drive_table(params: OscillatorParams, field: FieldModel, grid: TimeGri
 
     For gamma > 0 a reference trajectory sampled on ``grid.refined(2)``
     supplies the velocity in the damping term (ValueError if missing or
-    sampled elsewhere).  Raises StepTooCoarse as ``solve_trajectory`` does.
+    sampled elsewhere).  Raises StepTooCoarse as ``solve_trajectory`` does,
+    and NonFiniteState if the force overflows.
     """
     _check_step(params, field, grid)
-    force = params.charge * evaluate_field(field, grid.half_times)
     if field.gamma > 0:
         if reference is None:
             raise ValueError("gamma > 0 needs a reference trajectory on grid.refined(2)")
         if reference.grid.n_steps != 2 * grid.n_steps or \
                 reference.grid.t0 != grid.t0 or reference.grid.t1 != grid.t1:
             raise ValueError("reference trajectory must be sampled on grid.refined(2)")
-        force = force - params.mass * field.gamma * reference.qdot
+    with np.errstate(over="ignore", invalid="ignore"):
+        force = params.charge * evaluate_field(field, grid.half_times)
+        if field.gamma > 0:
+            force = force - params.mass * field.gamma * reference.qdot
+    if not np.isfinite(force).all():
+        raise NonFiniteState("drive force overflowed; check drive amplitude and charge")
     return DriveTable(grid=grid, values=np.asarray(force, dtype=float), params=params,
                       field=field, reference=reference)
 

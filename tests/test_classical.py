@@ -167,13 +167,17 @@ def test_overflow_raises_non_finite(natural):
 
 
 def test_overflow_of_a_forced_integration_raises_non_finite():
-    # the same overflow from a finite tabulated force (F up to 1e307); the
-    # scan keeps numpy's overflow warning (an error under this suite) to itself
-    field = pl.FieldModel.monochromatic(1e298, 0.5)
+    # the same overflow through the drive table, whose force e E overflows
+    # at once, and from a finite table (F up to 1e307) that the scan
+    # overflows; each keeps numpy's overflow warning (an error under this
+    # suite) to itself
     params = pl.OscillatorParams(mass=1e-6, omega0=1.0, charge=1e9, hbar=1.0)
-    drive = pl.build_drive_table(params, field, TimeGrid(0.0, 100.0, 10_000))
+    grid = TimeGrid(0.0, 100.0, 10_000)
+    with pytest.raises(pl.NonFiniteState, match="drive force"):
+        pl.build_drive_table(params, pl.FieldModel.monochromatic(1e300, 0.5), grid)
+    drive = pl.build_drive_table(params, pl.FieldModel.monochromatic(1e298, 0.5), grid)
     assert np.isfinite(drive.values).all()
-    with pytest.raises(pl.NonFiniteState):
+    with pytest.raises(pl.NonFiniteState, match="trajectory"):
         pl.integrate_forced(drive)
 
 
