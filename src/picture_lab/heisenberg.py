@@ -103,7 +103,7 @@ class HeisenbergSolution:
     x_H(t) = a x + b p + xi on every sample of the drive table's grid.
     """
 
-    # Not a field; benchmark spans are named after it.
+    # Not a field; bench/spans.py names its span after it.
     method = "closed_form"
 
     drive: DriveTable

@@ -249,20 +249,18 @@ def _advance(s: Scenario, run, value):
 def _propagate(group: list, starts: list) -> list:
     """One ``propagate`` call for the scenarios ``group``, which share a time
     grid, splitting, n_points and record cadence, from their (initial
-    state, damping reference) ``starts``; returns their records in order."""
+    state, drive table) ``starts``; returns their records in order."""
     s = group[0]
-    states, refs = zip(*starts)
-    args = (states, [t.params for t in group], [t.field for t in group], refs)
-    if len(group) == 1:  # a single propagation
-        args = [arg[0] for arg in args]
-    record = propagate(*args[:3], s.time_grid, reference_trajectory=args[3],
-                       record_every=s.record_every, splitting=s.splitting)
+    states, drives = zip(*starts)
+    if len(group) == 1:  # a single run: bench/spans.py reads n_points as len(psi.psi)
+        states, drives = states[0], drives[0]
+    record = propagate(drives, states, s.time_grid, s.record_every, s.splitting)
     return [record] if len(group) == 1 else [record.row(b) for b in range(len(group))]
 
 
 def _run(s: Scenario):
-    """The report of ``s``, as a generator: it yields the initial state and
-    the damping reference of its propagation, is sent the record, yields
+    """The report of ``s``, as a generator: it yields the initial state of
+    its propagation and the triple's drive table, is sent the record, yields
     the initial Fock state of its oracle (None with the oracle off), is
     sent the oracle's two sups (None likewise), and returns the report."""
     params, field, grid = s.params, s.field, s.time_grid
@@ -302,8 +300,9 @@ def _run(s: Scenario):
     x_h, x2_h = closed_form_moments(hsol, state)
     x_h, x2_h, xi, q_c, qdot_c, classical_mean = (
         series[rec] for series in (x_h, x2_h, xi, q_c, qdot_c, classical_mean))
+    drive = hsol.drive
     del hsol, traj
-    prop = yield displaced_state(params, pgrid, q_init, v_init), ref
+    prop = yield displaced_state(params, pgrid, q_init, v_init), drive
 
     vacuum = expectation_x2(ground_state(params, pgrid))
     residual = x2_h - q_c**2

@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+# build_drive_table is unused here: bench/spans.py wraps this module's attribute
 from .classical import ClassicalTrajectory, DriveTable, build_drive_table
 from .errors import GridTooNarrow, NotDisplacedGaussian, NotNormalized, StepTooCoarse
 from .model import OscillatorParams, TimeGrid, ground_state_width
@@ -358,16 +359,17 @@ def check_path_step(drive: DriveTable, path: np.ndarray, splitting: str):
                       _longest_factor(splitting) * drive.grid.dt, step)
 
 
-def _row_factors(psi, params, field, reference, time_grid, splitting):
-    """The step factors of one state of ``propagate``, after its two guards.
+def _row_factors(psi, drive, splitting):
+    """The step factors of one state of ``propagate``, after its step guard,
+    with params, dt and every kick's F read from its table ``drive``.
 
     Returns the kinetic factors and the kick exponents (the oscillator's,
     and the drive's per unit F), each a list over the step's factors, the
     drive at every kick, and the global phase of the kicks' F^2 terms.
     """
     c, d, g = SPLITTINGS[splitting]
-    grid, dt, hb = psi.grid, time_grid.dt, params.hbar
-    drive = build_drive_table(params, field, time_grid, reference)
+    params = drive.params
+    grid, dt, hb = psi.grid, drive.grid.dt, params.hbar
     forces = _kick_forces(drive, splitting)
     _check_step_scale(params, grid.dx * float(np.dot(grid.x, psi.density())), forces,
                       _longest_factor(splitting) * dt, 0)
@@ -391,24 +393,23 @@ def _row_dots(d, v):
     return (d[..., None, :] @ v[..., None])[..., 0, 0]
 
 
-def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None,
-              record_every: int = 1, splitting: str = "strang") -> PropagationRecord:
+def propagate(drive, psi, time_grid: TimeGrid, record_every: int = 1,
+              splitting: str = "strang") -> PropagationRecord:
     """Split-operator propagation under H(t) = p^2/2m + m omega0^2 x^2/2 - F(t) x.
 
-    ``psi`` is one GridWavefunction, or a batch: a sequence of B of them
-    with equal n_points, each on its own grid, with ``params``, ``field``
-    and ``reference_trajectory`` (None for none) then sequences of B
-    values, one per state.  A batch runs through the same loop as one
+    ``drive`` is one DriveTable and ``psi`` one GridWavefunction, or a
+    batch: B tables and B states of equal n_points, state b on its own
+    grid and driven by table b.  A batch runs through the same loop as one
     state, on (B, n_points) stacks whose row b holds state b's factors,
     built exactly as for a single state, so row b of the returned record
     equals the record of state b's own propagation bit for bit;
     ``PropagationRecord.row`` extracts it.
 
-    F(t) is the field drive e E(t) plus, for gamma > 0, the damping
-    back-action -m gamma qd(t) evaluated along ``reference_trajectory``,
-    which gamma > 0 requires, sampled on ``time_grid.refined(2)``
-    (ValueError otherwise).  The drive table raises StepTooCoarse if dt
-    does not resolve the fastest frequency.
+    A table gives its state's params and F(t): the field drive e E(t)
+    plus, for gamma > 0, the damping back-action along its reference
+    trajectory.  Every table must be sampled on ``time_grid``
+    (bench/spans.py reads its n_steps), or ValueError is raised before
+    the first step; ``run_equivalence`` passes the triple's own table.
 
     Each step of length dt is the factorisation ``SPLITTINGS[splitting] =
     (c, d, g)``: K(c0 dt) V_1 K(c1 dt) ... V_s K(cs dt), with kinetic
@@ -454,12 +455,13 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
     and edge that a check after every step would, with the same edge
     fraction.  Every state, moment and message equals that of a loop
     doing all this per step, bit for bit.  StepTooCoarse is raised if the
-    longest factor of the step (the largest |coefficient| of any kick, inner kinetic factor or
-    merged kinetic factor, times dt) fails the energy-scale heuristic for
-    the initial state; ``check_path_step`` applies the same guard along a
-    known path of the mean.  Every guard, and every moment, is evaluated
-    per state; an error a guard raises, and any error from building a
-    state's factors, carries the index of its state as ``row``.
+    longest factor of the step (the largest |coefficient| of any kick,
+    inner kinetic factor or merged kinetic factor, times dt) fails the
+    energy-scale heuristic for the initial state only: a direct caller
+    applies ``check_path_step`` with the same table along the path of the
+    mean, as ``run_equivalence`` does.  Every guard, and every moment, is
+    evaluated per state; an error a guard raises, and any error from
+    building a state's factors, carries the index of its state as ``row``.
     """
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every!r}")
@@ -467,17 +469,15 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
         raise ValueError(f"splitting must be one of {', '.join(SPLITTINGS)}, "
                          f"got {splitting!r}")
     single = isinstance(psi, GridWavefunction)
-    if single:
-        rows = [(psi, params, field, reference_trajectory)]
-    else:
-        refs = reference_trajectory or [None] * len(psi)
-        rows = list(zip(psi, params, field, refs, strict=True))
-    if len({state.grid.n_points for state, *_ in rows}) != 1:
+    rows = [(psi, drive)] if single else list(zip(psi, drive, strict=True))
+    if len({state.grid.n_points for state, _ in rows}) != 1:
         raise ValueError("a batch needs one or more states of equal n_points")
     factors = []
-    for b, row in enumerate(rows):
+    for b, (state, table) in enumerate(rows):
         try:
-            factors.append(_row_factors(*row, time_grid, splitting))
+            if table.grid != time_grid:
+                raise ValueError(f"drive table sampled on {table.grid}, not {time_grid}")
+            factors.append(_row_factors(state, table, splitting))
         except Exception as exc:
             exc.row = b
             raise
@@ -491,7 +491,7 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
     driven = bool(np.any(forces))
     last = len(pot_exp) - 1
 
-    grids = tuple(state.grid for state, *_ in rows)
+    grids = tuple(state.grid for state, _ in rows)
     dx = np.array([grid.dx for grid in grids])
     x = np.stack([grid.x for grid in grids])
     x2 = x * x
@@ -572,7 +572,7 @@ def propagate(psi, params, field, time_grid: TimeGrid, reference_trajectory=None
         allowed = levels[-1]
         first, first_rec = first + count, first_rec + n_rec
 
-    stags[0] = [state.psi for state, *_ in rows]
+    stags[0] = [state.psi for state, _ in rows]
     spectrum = fft(stags[0], out=spectra[0])
     # staggered state: leading kinetic factor applied, trailing one pending
     stag = ifft(spectrum * lead)

@@ -103,8 +103,8 @@ def test_criterion_8b_split_step_second_order(natural):
         tg = TimeGrid(0.0, natural.period, n)
         traj = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
         pgrid = pl.PositionGrid.for_state(natural, float(np.max(np.abs(traj.q))))
-        rec = pl.propagate(pl.ground_state(natural, pgrid), natural, field, tg,
-                           record_every=n // 100)
+        rec = pl.propagate(pl.build_drive_table(natural, field, tg),
+                           pl.ground_state(natural, pgrid), tg, record_every=n // 100)
         exact = 0.5 + (4.0 / 3.0) ** 2 * (np.cos(0.5 * rec.times)
                                           - np.cos(rec.times)) ** 2
         errors.append(float(np.max(np.abs(rec.mean_x2 - exact))))
@@ -124,8 +124,9 @@ def test_criterion_8f_gradient4_split_step_at_roundoff(natural):
         tg = TimeGrid(0.0, natural.period, n)
         traj = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
         pgrid = pl.PositionGrid.for_state(natural, float(np.max(np.abs(traj.q))))
-        rec = pl.propagate(pl.ground_state(natural, pgrid), natural, field, tg,
-                           record_every=n // 100, splitting="gradient4")
+        rec = pl.propagate(pl.build_drive_table(natural, field, tg),
+                           pl.ground_state(natural, pgrid), tg, record_every=n // 100,
+                           splitting="gradient4")
         exact = 0.5 + (4.0 / 3.0) ** 2 * (np.cos(0.5 * rec.times)
                                           - np.cos(rec.times)) ** 2
         errors[n] = float(np.max(np.abs(rec.mean_x2 - exact)))

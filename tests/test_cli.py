@@ -335,9 +335,9 @@ def test_sweep_batches_the_entries_that_share_a_time_grid(tmp_path, monkeypatch,
                                                           values, batches):
     sizes = []
 
-    def counting(psi, *args, **kwargs):
+    def counting(drive, psi, *args, **kwargs):
         sizes.append(1 if isinstance(psi, pl.GridWavefunction) else len(psi))
-        return propagate(psi, *args, **kwargs)
+        return propagate(drive, psi, *args, **kwargs)
 
     propagate = pl.lab.propagate
     monkeypatch.setattr(pl.lab, "propagate", counting)

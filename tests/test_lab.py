@@ -109,10 +109,10 @@ def test_free_limit_sweep_continuity_and_scaling():
     assert peak_large / peak_small == pytest.approx(100.0, rel=0.01)
 
 
-@pytest.mark.parametrize("oracle,tables", [(True, 3), (False, 2)])
+@pytest.mark.parametrize("oracle,tables", [(True, 2), (False, 1)])
 def test_one_drive_table_per_heisenberg_grid(monkeypatch, oracle, tables):
-    # the triple's table serves the path guard and the Fock oracle on its
-    # grid; propagate builds the only other one
+    # the triple's table serves the path guard, propagate and, on its own
+    # grid, the Fock oracle
     calls = []
     build = pl.build_drive_table
 
@@ -126,6 +126,60 @@ def test_one_drive_table_per_heisenberg_grid(monkeypatch, oracle, tables):
                                                fock_oracle=oracle))
     assert report.equivalence_pass
     assert len(calls) == tables
+
+
+@pytest.mark.parametrize("field", [pl.FieldModel.monochromatic(0.1, 0.5),
+                                   pl.FieldModel.zero(gamma=0.1)], ids=["driven", "damped"])
+def test_propagate_gets_the_triples_table(monkeypatch, field):
+    # the table evolve_heisenberg built on the scenario's grid, the same
+    # object, damping reference included; the oracle's triple is on its own grid
+    built, passed = [], []
+    evolve, propagate = pl.lab.evolve_heisenberg, pl.lab.propagate
+
+    def evolving(*args, **kwargs):
+        sol = evolve(*args, **kwargs)
+        built.append(sol.drive)
+        return sol
+
+    def propagating(drive, *args, **kwargs):
+        passed.append(drive)
+        return propagate(drive, *args, **kwargs)
+
+    monkeypatch.setattr(pl.lab, "evolve_heisenberg", evolving)
+    monkeypatch.setattr(pl.lab, "propagate", propagating)
+    s = quick_scenario(field=field, ics=InitialConditions(1.0, 0.0), periods=0.5,
+                       n_steps=2000, fock_oracle=True)
+    assert pl.run_equivalence(s).equivalence_pass
+    assert len(built) == 2 and len(passed) == 1
+    assert passed[0] is built[0] and passed[0].grid == s.time_grid
+    assert (passed[0].reference is not None) == (field.gamma > 0)
+
+
+def test_a_wrong_drive_table_is_caught_by_the_checks_that_do_not_read_it(monkeypatch):
+    # every drive table 0.1 % too strong, on the driven golden for 2
+    # periods.  The triple, the split-step run and the Fock oracle all read
+    # the table, so they agree with each other (sup 1.3e-7, oracle 4.4e-12,
+    # as with the right table).  The classical path reads evaluate_field,
+    # not the table: Ehrenfest, the decomposition and residual - vacuum go
+    # from 6.2e-8, 1.3e-7 and 1.7e-16 to 2.7e-4, 1.4e-4 and 1.4e-4.  all_pass
+    # stays True: it leaves out residual_matches_vacuum
+    build = heisenberg.build_drive_table
+
+    def scaled(*args, **kwargs):
+        table = build(*args, **kwargs)
+        return replace(table, values=1.001 * table.values)
+
+    monkeypatch.setattr(heisenberg, "build_drive_table", scaled)
+    golden = pl.golden_scenarios()["driven"]
+    t0, dt = golden.time_grid.t0, golden.time_grid.dt
+    s = replace(golden, name="scaled", time_grid=TimeGrid(t0, t0 + 12_800 * dt, 12_800))
+    assert s.periods == pytest.approx(2.0) and s.record_every == 16
+    report = pl.run_equivalence(s)
+    assert report.sup_discrepancy < 1e-5
+    assert report.oracle_moment_sup < 1e-9
+    assert report.ehrenfest_sup > 1e-5
+    assert report.decomposition_sup > 1e-5
+    assert np.max(np.abs(report.residual_5_1 - report.vacuum_term)) > 1e-5
 
 
 def test_batched_guard_names_the_scenario_of_its_row():
@@ -168,10 +222,10 @@ def test_foreign_error_from_a_batch_row_names_its_scenario(monkeypatch):
     # the third state's factors fail with an error of no package type
     row_factors = schrodinger._row_factors
 
-    def failing(psi, params, *args):
-        if params.charge == 1.0:
+    def failing(psi, drive, *args):
+        if drive.params.charge == 1.0:
             raise MemoryError("no room")
-        return row_factors(psi, params, *args)
+        return row_factors(psi, drive, *args)
 
     monkeypatch.setattr(schrodinger, "_row_factors", failing)
     scenarios = [quick_scenario(f"e={e:g}", params=pl.OscillatorParams(charge=e),

@@ -135,9 +135,9 @@ def test_grid_too_narrow_on_construction(free_params):
 
 def test_free_eigenstate_stationary_over_one_period(free_params, grid):
     psi0 = pl.ground_state(free_params, grid)
-    period = free_params.period
-    rec = pl.propagate(psi0, free_params, pl.FieldModel.zero(),
-                       TimeGrid(0.0, period, 4000), record_every=4000)
+    tg = TimeGrid(0.0, free_params.period, 4000)
+    rec = pl.propagate(pl.build_drive_table(free_params, pl.FieldModel.zero(), tg), psi0, tg,
+                       record_every=4000)
     assert rec.psi.fidelity(psi0) >= 1.0 - 1e-8
 
 
@@ -146,8 +146,8 @@ def test_driven_mean_matches_classical_at_pi(natural):
     tg = TimeGrid(0.0, math.pi, 4000)
     traj = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
     pgrid = pl.PositionGrid.for_state(natural, np.max(np.abs(traj.q)))
-    rec = pl.propagate(pl.ground_state(natural, pgrid), natural, field, tg,
-                       record_every=4000)
+    rec = pl.propagate(pl.build_drive_table(natural, field, tg),
+                       pl.ground_state(natural, pgrid), tg, record_every=4000)
     assert rec.mean_x[-1] == pytest.approx(4.0 / 3.0, abs=1e-5)
 
 
@@ -158,8 +158,9 @@ def test_driven_state_matches_exact_displaced_solution(natural, splitting):
     tg = TimeGrid(0.0, math.pi, 4000)
     traj = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
     pgrid = pl.PositionGrid.for_state(natural, np.max(np.abs(traj.q)))
-    rec = pl.propagate(pl.ground_state(natural, pgrid), natural, field, tg,
-                       record_every=4000, splitting=splitting)
+    rec = pl.propagate(pl.build_drive_table(natural, field, tg),
+                       pl.ground_state(natural, pgrid), tg, record_every=4000,
+                       splitting=splitting)
     exact = pl.exact_state(natural, pgrid, traj, tg.n_steps)
     overlap = rec.psi.overlap(exact)
     assert abs(overlap) >= 1.0 - 1e-6
@@ -171,8 +172,8 @@ def test_norm_conserved_along_driven_run(natural):
     field = pl.FieldModel.monochromatic(0.3, 0.5)
     tg = TimeGrid(0.0, 2.0 * natural.period, 8000)
     pgrid = pl.PositionGrid.for_state(natural, 1.0)
-    rec = pl.propagate(pl.ground_state(natural, pgrid), natural, field, tg,
-                       record_every=100)
+    rec = pl.propagate(pl.build_drive_table(natural, field, tg),
+                       pl.ground_state(natural, pgrid), tg, record_every=100)
     assert rec.max_norm_error() < 1e-10
 
 
@@ -181,8 +182,8 @@ def test_ehrenfest_against_classical(natural):
     tg = TimeGrid(0.0, 2.0 * natural.period, 10_000)
     traj = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
     pgrid = pl.PositionGrid.for_state(natural, np.max(np.abs(traj.q)))
-    rec = pl.propagate(pl.ground_state(natural, pgrid), natural, field, tg,
-                       record_every=25)
+    rec = pl.propagate(pl.build_drive_table(natural, field, tg),
+                       pl.ground_state(natural, pgrid), tg, record_every=25)
     idx = np.rint((rec.times - tg.t0) / tg.dt).astype(int)
     assert np.max(np.abs(rec.mean_x - traj.q[idx])) < 1e-5
 
@@ -203,8 +204,8 @@ def test_split_step_is_second_order(natural):
         tg = TimeGrid(0.0, t1, n)
         traj = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
         pgrid = pl.PositionGrid.for_state(natural, np.max(np.abs(traj.q)))
-        rec = pl.propagate(pl.ground_state(natural, pgrid), natural, field, tg,
-                           record_every=n // 100)
+        rec = pl.propagate(pl.build_drive_table(natural, field, tg),
+                           pl.ground_state(natural, pgrid), tg, record_every=n // 100)
         exact = 0.5 + (4.0 / 3.0) ** 2 * (np.cos(0.5 * rec.times)
                                           - np.cos(rec.times)) ** 2
         errors.append(np.max(np.abs(rec.mean_x2 - exact)))
@@ -218,8 +219,9 @@ def test_propagate_rejects_coarse_step(natural):
     # the energy scale of the initial state
     pgrid = pl.PositionGrid.for_state(natural, 0.0)
     psi = pl.ground_state(natural, pgrid)
+    tg = TimeGrid(0.0, 12.0, 100)
     with pytest.raises(pl.StepTooCoarse, match="sub-step 0.12 too coarse .* at step 0"):
-        pl.propagate(psi, natural, pl.FieldModel.zero(), TimeGrid(0.0, 12.0, 100))
+        pl.propagate(pl.build_drive_table(natural, pl.FieldModel.zero(), tg), psi, tg)
 
 
 def test_propagate_resolves_the_drive_period(natural):
@@ -227,8 +229,9 @@ def test_propagate_resolves_the_drive_period(natural):
     # not the drive table's dt <= (2 pi / 200) / 50 = 6.3e-4
     psi = pl.ground_state(natural, pl.PositionGrid.for_state(natural, 0.0))
     field = pl.FieldModel.monochromatic(0.01, 200.0)
+    tg = TimeGrid(0.0, 1.0, 1000)
     with pytest.raises(pl.StepTooCoarse, match="angular frequency 200"):
-        pl.propagate(psi, natural, field, TimeGrid(0.0, 1.0, 1000))
+        pl.propagate(pl.build_drive_table(natural, field, tg), psi, tg)
 
 
 def test_propagate_detects_density_at_edge(free_params):
@@ -236,9 +239,10 @@ def test_propagate_detects_density_at_edge(free_params):
     tight = pl.PositionGrid(half_width=8.0 * pl.ground_state_width(free_params) + 0.4,
                             n_points=512)
     psi = pl.displaced_state(free_params, tight, 0.0, velocity=4.0)
+    tg = TimeGrid(0.0, free_params.period, 4000)
     with pytest.raises(pl.GridTooNarrow):
-        pl.propagate(psi, free_params, pl.FieldModel.zero(),
-                     TimeGrid(0.0, free_params.period, 4000), record_every=40)
+        pl.propagate(pl.build_drive_table(free_params, pl.FieldModel.zero(), tg), psi, tg,
+                     record_every=40)
 
 
 def _edge_step(excinfo):
@@ -258,8 +262,8 @@ def test_propagate_detects_edge_contact_between_records(free_params, splitting):
     tg = TimeGrid(0.0, free_params.period, 4000)
     for record_every in (1, 7, tg.n_steps):
         with pytest.raises(pl.GridTooNarrow, match="probability density .* at step") as exc:
-            pl.propagate(psi, free_params, pl.FieldModel.zero(), tg,
-                         record_every=record_every, splitting=splitting)
+            pl.propagate(pl.build_drive_table(free_params, pl.FieldModel.zero(), tg), psi,
+                         tg, record_every=record_every, splitting=splitting)
         assert abs(_edge_step(exc) - 526) <= 1, record_every
 
 
@@ -276,16 +280,16 @@ def test_propagate_detects_spectral_weight_at_k_edge(free_params, splitting):
     states = [pl.displaced_state(free_params, pgrid, q0) for q0 in (0.0, 1.0, 15.0)]
     for record_every in (1, 7, tg.n_steps):
         with pytest.raises(pl.GridTooNarrow, match="spectral density .* at step") as exc:
-            pl.propagate(states[2], free_params, pl.FieldModel.zero(), tg,
-                         record_every=record_every, splitting=splitting)
+            pl.propagate(pl.build_drive_table(free_params, pl.FieldModel.zero(), tg),
+                         states[2], tg, record_every=record_every, splitting=splitting)
         assert _edge_step(exc) == 5245, record_every
         with pytest.raises(pl.GridTooNarrow) as batch:
-            pl.propagate(states, [free_params] * 3, [pl.FieldModel.zero()] * 3, tg,
-                         record_every=record_every, splitting=splitting)
+            pl.propagate([pl.build_drive_table(free_params, pl.FieldModel.zero(), tg)] * 3,
+                         states, tg, record_every=record_every, splitting=splitting)
         assert batch.value.row == 2 and str(batch.value) == str(exc.value), record_every
     pgrid = pl.PositionGrid.for_state(free_params, 15.0, n_points=512)
     psi = pl.displaced_state(free_params, pgrid, 15.0)
-    rec = pl.propagate(psi, free_params, pl.FieldModel.zero(), tg,
+    rec = pl.propagate(pl.build_drive_table(free_params, pl.FieldModel.zero(), tg), psi, tg,
                        record_every=tg.n_steps, splitting=splitting)
     assert abs(rec.mean_x[-1]) < 1e-3  # it did reach x = 0
 
@@ -298,8 +302,8 @@ def test_propagate_checks_the_initial_state(free_params):
     psi = pl.displaced_state(free_params, pgrid, 0.0, velocity=48.0)
     for record_every in (1, 7, tg.n_steps):
         with pytest.raises(pl.GridTooNarrow, match="spectral density .* at step 0 "):
-            pl.propagate(psi, free_params, pl.FieldModel.zero(), tg,
-                         record_every=record_every)
+            pl.propagate(pl.build_drive_table(free_params, pl.FieldModel.zero(), tg), psi,
+                         tg, record_every=record_every)
 
 
 def test_for_state_sizes_from_both_reaches(natural):
@@ -349,8 +353,9 @@ def test_gradient4_is_fourth_order(natural):
         tg = TimeGrid(0.0, natural.period, n)
         traj = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
         pgrid = pl.PositionGrid.for_state(natural, float(np.max(np.abs(traj.q))))
-        rec = pl.propagate(pl.ground_state(natural, pgrid), natural, field, tg,
-                           record_every=n, splitting="gradient4")
+        rec = pl.propagate(pl.build_drive_table(natural, field, tg),
+                           pl.ground_state(natural, pgrid), tg, record_every=n,
+                           splitting="gradient4")
         diff = rec.psi.psi - pl.exact_state(natural, pgrid, traj, n).psi
         errors.append(math.sqrt(pgrid.dx * float(np.sum(np.abs(diff) ** 2))))
         dts.append(tg.dt)
@@ -366,8 +371,10 @@ def test_yoshida_guard_applies_to_longest_sub_step(natural):
     pgrid = pl.PositionGrid.for_state(natural, 4.0 / 3.0 * 2.0)
     psi = pl.ground_state(natural, pgrid)
     with pytest.raises(pl.StepTooCoarse, match="sub-step"):
-        pl.propagate(psi, natural, field, tg, record_every=2500, splitting="yoshida4")
-    rec = pl.propagate(psi, natural, field, tg, record_every=2500, splitting="strang")
+        pl.propagate(pl.build_drive_table(natural, field, tg), psi, tg, record_every=2500,
+                     splitting="yoshida4")
+    rec = pl.propagate(pl.build_drive_table(natural, field, tg), psi, tg, record_every=2500,
+                       splitting="strang")
     assert rec.max_norm_error() < 1e-10
 
 
@@ -379,21 +386,38 @@ def test_gradient4_guard_applies_to_longest_factor(natural):
     pgrid = pl.PositionGrid.for_state(natural, 4.0 / 3.0 * 2.0)
     psi = pl.ground_state(natural, pgrid)
     with pytest.raises(pl.StepTooCoarse, match="sub-step 0.0033 "):
-        pl.propagate(psi, natural, field, tg, record_every=1100, splitting="gradient4")
+        pl.propagate(pl.build_drive_table(natural, field, tg), psi, tg, record_every=1100,
+                     splitting="gradient4")
 
 
 def test_propagate_rejects_unknown_splitting(natural):
     psi = pl.ground_state(natural, pl.PositionGrid.for_state(natural, 0.0))
+    tg = TimeGrid(0.0, 1.0, 1000)
     with pytest.raises(ValueError, match="splitting"):
-        pl.propagate(psi, natural, pl.FieldModel.zero(), TimeGrid(0.0, 1.0, 1000),
+        pl.propagate(pl.build_drive_table(natural, pl.FieldModel.zero(), tg), psi, tg,
                      splitting="rk2")
+
+
+def test_propagate_rejects_a_table_on_another_grid(natural):
+    # alone, and as row 1 of a batch whose other rows' tables are right
+    tg = TimeGrid(0.0, 1.0, 1000)
+    psi = pl.ground_state(natural, pl.PositionGrid.for_state(natural, 0.0))
+    field = pl.FieldModel.monochromatic(0.5, 0.5)
+    right = pl.build_drive_table(natural, field, tg)
+    for other in (TimeGrid(0.0, 1.0, 2000), TimeGrid(0.0, 2.0, 1000)):
+        wrong = pl.build_drive_table(natural, field, other)
+        with pytest.raises(ValueError, match="drive table sampled on"):
+            pl.propagate(wrong, psi, tg)
+        with pytest.raises(ValueError, match="drive table sampled on") as batch:
+            pl.propagate([right, wrong, right], [psi] * 3, tg)
+        assert batch.value.row == 1
 
 
 def test_record_times_include_endpoints(natural):
     tg = TimeGrid(0.0, 1.0, 1000)
     pgrid = pl.PositionGrid.for_state(natural, 0.0)
-    rec = pl.propagate(pl.ground_state(natural, pgrid), natural,
-                       pl.FieldModel.zero(), tg, record_every=300)
+    rec = pl.propagate(pl.build_drive_table(natural, pl.FieldModel.zero(), tg),
+                       pl.ground_state(natural, pgrid), tg, record_every=300)
     assert rec.times[0] == 0.0
     assert rec.times[-1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(rec.times) > 0)
@@ -409,8 +433,9 @@ DRIVE = pl.FieldModel.monochromatic(0.8, 0.7)
 def _run(natural, field, splitting, record_every):
     tg = TimeGrid(0.0, 1.5, N_RUN)
     pgrid = pl.PositionGrid.for_state(natural, 1.0, n_points=256)
-    return pl.propagate(pl.ground_state(natural, pgrid), natural, field, tg,
-                        record_every=record_every, splitting=splitting)
+    return pl.propagate(pl.build_drive_table(natural, field, tg),
+                        pl.ground_state(natural, pgrid), tg, record_every=record_every,
+                        splitting=splitting)
 
 
 @pytest.mark.usefixtures("yoshida4")
@@ -513,8 +538,8 @@ def test_fallback_transforms_give_the_same_run(natural, monkeypatch, splitting):
 
     def runs():
         return (_run(natural, DRIVE, splitting, 7),
-                pl.propagate(states, params, [DRIVE] * 3, tg, record_every=7,
-                             splitting=splitting))
+                pl.propagate([pl.build_drive_table(p, DRIVE, tg) for p in params], states,
+                             tg, record_every=7, splitting=splitting))
 
     fast = runs()
     monkeypatch.setattr(schrodinger, "_fft", np.fft.fft)
@@ -530,12 +555,12 @@ def test_fallback_transforms_give_the_same_run(natural, monkeypatch, splitting):
 def test_batch_rows_equal_their_single_runs(splitting, batch):
     states, params = _batch_inputs(batch)
     tg = TimeGrid(0.0, 1.5, 600)
-    rec = pl.propagate(states, params, [DRIVE] * batch, tg, record_every=7,
-                       splitting=splitting)
+    rec = pl.propagate([pl.build_drive_table(p, DRIVE, tg) for p in params], states, tg,
+                       record_every=7, splitting=splitting)
     assert rec.mean_x.shape == (batch, len(rec.times)) and len(rec.psi) == batch
     for b in range(batch):
-        alone = pl.propagate(states[b], params[b], DRIVE, tg, record_every=7,
-                             splitting=splitting)
+        alone = pl.propagate(pl.build_drive_table(params[b], DRIVE, tg), states[b], tg,
+                             record_every=7, splitting=splitting)
         row = rec.row(b)
         assert row.psi.grid is states[b].grid
         # bit for bit, the final state with its F^2 phase included
@@ -563,11 +588,11 @@ def test_batch_guard_names_its_row(free_params, monkeypatch):
         for record_every, step, fraction in ((1, 526, "1.01e-10"), (7, 526, "1.02e-10"),
                                              (tg.n_steps, 525, "1e-10")):
             with pytest.raises(pl.GridTooNarrow) as alone:
-                pl.propagate(states[2], free_params, pl.FieldModel.zero(), tg,
-                             record_every=record_every)
+                pl.propagate(pl.build_drive_table(free_params, pl.FieldModel.zero(), tg),
+                             states[2], tg, record_every=record_every)
             with pytest.raises(pl.GridTooNarrow) as batch:
-                pl.propagate(states, [free_params] * 3, [pl.FieldModel.zero()] * 3, tg,
-                             record_every=record_every)
+                pl.propagate([pl.build_drive_table(free_params, pl.FieldModel.zero(), tg)] * 3,
+                             states, tg, record_every=record_every)
             assert batch.value.row == 2, (block_bytes, record_every)
             assert str(batch.value) == str(alone.value) == (
                 f"probability density reached the grid edge at step {step} "
@@ -592,8 +617,9 @@ def test_recorded_moments_are_the_per_state_quadratures(natural, splitting):
     # the last record holds the final state's moments, each taken by the
     # per-state formula; no drive, so no F^2 phase alters the final state
     states, params = _batch_inputs(3)
-    rec = pl.propagate(states, params, [pl.FieldModel.zero()] * 3,
-                       TimeGrid(0.0, 1.5, 600), record_every=7, splitting=splitting)
+    tg = TimeGrid(0.0, 1.5, 600)
+    rec = pl.propagate([pl.build_drive_table(p, pl.FieldModel.zero(), tg) for p in params],
+                       states, tg, record_every=7, splitting=splitting)
     for b in range(3):
         grid, d = rec.psi[b].grid, rec.psi[b].density()
         assert rec.norms[b, -1] == math.sqrt(grid.dx * d.sum())
@@ -614,8 +640,8 @@ def test_block_buffers_keep_the_peak(splitting):
     tg = TimeGrid(0.0, 1.5, 600)
     tracemalloc.start()
     try:
-        pl.propagate(states, params, [DRIVE] * 4, tg, record_every=tg.n_steps,
-                     splitting=splitting)
+        pl.propagate([pl.build_drive_table(p, DRIVE, tg) for p in params], states, tg,
+                     record_every=tg.n_steps, splitting=splitting)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -626,6 +652,7 @@ def test_batch_needs_equal_n_points(free_params):
     states = [pl.ground_state(free_params, pl.PositionGrid.for_state(free_params, 0.0,
                                                                      n_points=n))
               for n in (256, 512)]
+    tg = TimeGrid(0.0, 1.0, 1000)
     with pytest.raises(ValueError, match="equal n_points"):
-        pl.propagate(states, [free_params] * 2, [pl.FieldModel.zero()] * 2,
-                     TimeGrid(0.0, 1.0, 1000))
+        pl.propagate([pl.build_drive_table(free_params, pl.FieldModel.zero(), tg)] * 2,
+                     states, tg)
