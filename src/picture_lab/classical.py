@@ -5,10 +5,10 @@ classic 4th-order Runge-Kutta scheme, evaluated as one blocked scan of
 its affine step map.  The classical action, which the exact
 Schrodinger-picture phase needs, is taken on demand from the same four
 RK4 stages along the stored path.  A half-step force table, from the
-field and, under damping, a given reference trajectory, checks its step
-and feeds both quantum engines, so all three share one c-number drive;
-the same RK4 kernel integrates the zero-IC response to that table, the
-c-number part of the Heisenberg evolution.
+field and, under damping, the trajectory it solves from given ICs, checks
+its step and feeds both quantum engines, so all three share one c-number
+drive; the same RK4 kernel integrates the zero-IC response to that table,
+the c-number part of the Heisenberg evolution.
 """
 
 from __future__ import annotations
@@ -100,9 +100,14 @@ class ClassicalTrajectory:
         return action
 
 
-def _check_step(params: OscillatorParams, field: FieldModel, grid: TimeGrid):
+def step_limit(params: OscillatorParams, field: FieldModel) -> tuple:
+    """The fastest angular frequency, and the largest dt giving its period 50 steps."""
     fastest = max(params.omega0, field.max_angular_frequency())
-    dt_max = (2.0 * math.pi / fastest) / 50.0
+    return fastest, (2.0 * math.pi / fastest) / 50.0
+
+
+def _check_step(params: OscillatorParams, field: FieldModel, grid: TimeGrid):
+    fastest, dt_max = step_limit(params, field)
     if grid.dt > dt_max:
         raise StepTooCoarse(
             f"dt={grid.dt:.3g} exceeds {dt_max:.3g} needed to resolve the fastest "
@@ -274,16 +279,16 @@ class DriveTable:
     """Total c-number force on the half-step lattice of a time grid.
 
     F(t) = e E(t) - m gamma qdot_ref(t).  The damping back-action is a
-    classical field evaluated along a reference trajectory, which keeps
-    the quantum evolutions Hamiltonian (commutator-preserving) while the
-    mean still follows the damped classical motion.
+    classical field evaluated along the damped classical motion from the
+    run's ICs, which keeps the quantum evolutions Hamiltonian
+    (commutator-preserving) while the mean still follows that motion.
     """
 
     grid: TimeGrid
     values: np.ndarray  # length 2 n_steps + 1
     params: OscillatorParams
     field: FieldModel
-    reference: ClassicalTrajectory | None = None  # on grid.refined(2); read if gamma > 0
+    reference: ClassicalTrajectory | None = None  # on grid.refined(2); None if gamma = 0
 
     def stage_values(self, offsets) -> np.ndarray:
         """F at t0 + (i + c) dt for every step i and offset c in [0, 1].
@@ -325,24 +330,24 @@ class DriveTable:
 
 
 def build_drive_table(params: OscillatorParams, field: FieldModel, grid: TimeGrid,
-                      reference: ClassicalTrajectory | None = None) -> DriveTable:
+                      ics: InitialConditions | None = None) -> DriveTable:
     """Sample the total drive force on the half-step lattice of ``grid``.
 
-    For gamma > 0 a reference trajectory sampled on ``grid.refined(2)``
-    supplies the velocity in the damping term (ValueError if missing or
-    sampled elsewhere).  Raises StepTooCoarse as ``solve_trajectory`` does,
-    and NonFiniteState if the force overflows.
+    For gamma > 0 the damping term takes its velocity from the reference
+    ``solve_trajectory(params, field, ics, grid.refined(2))``, which the
+    table keeps (ValueError if ``ics`` is missing).  Raises StepTooCoarse
+    as ``solve_trajectory`` does, and NonFiniteState if the force or the
+    reference overflows.
     """
     _check_step(params, field, grid)
+    reference = None
     if field.gamma > 0:
-        if reference is None:
-            raise ValueError("gamma > 0 needs a reference trajectory on grid.refined(2)")
-        if reference.grid.n_steps != 2 * grid.n_steps or \
-                reference.grid.t0 != grid.t0 or reference.grid.t1 != grid.t1:
-            raise ValueError("reference trajectory must be sampled on grid.refined(2)")
+        if ics is None:
+            raise ValueError("gamma > 0 needs the ICs of its reference trajectory")
+        reference = solve_trajectory(params, field, ics, grid.refined(2))
     with np.errstate(over="ignore", invalid="ignore"):
         force = params.charge * evaluate_field(field, grid.half_times)
-        if field.gamma > 0:
+        if reference is not None:
             force = force - params.mass * field.gamma * reference.qdot
     if not np.isfinite(force).all():
         raise NonFiniteState("drive force overflowed; check drive amplitude and charge")

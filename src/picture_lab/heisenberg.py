@@ -2,8 +2,8 @@
 
 Under H(t) = hbar omega0 (n + 1/2) - F(t) x, where F(t) is the same
 c-number force that drives the other engines (field drive plus damping
-back-action along a reference trajectory), the position operator
-evolves as
+back-action along the classical trajectory from the run's ICs), the
+position operator evolves as
 
     x_H(t) = a(t) x + b(t) p + xi(t) 1,
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalTrajectory, DriveTable, build_drive_table, integrate_forced
+from .classical import DriveTable, InitialConditions, build_drive_table, integrate_forced
 from .errors import TruncationError
 from .model import FieldModel, OscillatorParams, TimeGrid
 
@@ -138,15 +138,15 @@ def closed_form_moments(sol: HeisenbergSolution, state: np.ndarray):
 
 
 def evolve_heisenberg(params: OscillatorParams, field: FieldModel, time_grid: TimeGrid,
-                      reference_trajectory: ClassicalTrajectory | None = None
-                      ) -> HeisenbergSolution:
+                      ics: InitialConditions | None = None) -> HeisenbergSolution:
     """Evolve the Heisenberg-picture position operator as its coefficient triple.
 
     xi is integrated by the shared RK4 kernel from the drive table, which
-    for gamma > 0 needs ``reference_trajectory``; for an undriven, undamped
-    field this is the identity evolution of the free oscillator.
+    for gamma > 0 needs ``ics``, the initial conditions of its damping
+    reference (ValueError if missing); for an undriven, undamped field
+    this is the identity evolution of the free oscillator.
     """
-    drive = build_drive_table(params, field, time_grid, reference_trajectory)
+    drive = build_drive_table(params, field, time_grid, ics)
 
     w = params.omega0
     rel_t = time_grid.times - time_grid.t0

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import InitialConditions, decay_certificate, solve_trajectory
+from .classical import InitialConditions, decay_certificate, solve_trajectory, step_limit
 from .heisenberg import (closed_form_moments, coherent_state_vector, evolve_heisenberg,
                          fock_state_moments)
 from .model import FieldModel, OscillatorParams, TimeGrid
@@ -57,6 +57,8 @@ class Scenario:
 
     def __post_init__(self):
         n = self.n_points
+        fastest, dt_max = step_limit(self.params, self.field)
+        oracle_dt = self.oracle_grid.dt
         checks = (
             ("record_every", self.record_every >= 1, "must be at least 1"),
             ("tol_equivalence", _positive(self.tol_equivalence), "must be finite and > 0"),
@@ -67,6 +69,9 @@ class Scenario:
             ("padding_sigmas", _positive(self.padding_sigmas), "must be finite and > 0"),
             ("oracle_steps_per_period", self.oracle_steps_per_period >= 1,
              "must be at least 1"),
+            ("oracle_steps_per_period", not self.fock_oracle or oracle_dt <= dt_max,
+             f"must give the oracle's grid a dt of at most {dt_max:.3g}, 50 steps a period "
+             f"of the fastest angular frequency {fastest:.3g}, not {oracle_dt:.3g}"),
             ("splitting", self.splitting in SPLITTINGS,
              f"must be one of {', '.join(SPLITTINGS)}"),
         )
@@ -77,6 +82,13 @@ class Scenario:
     @property
     def periods(self) -> float:
         return (self.time_grid.t1 - self.time_grid.t0) / self.params.period
+
+    @property
+    def oracle_grid(self) -> TimeGrid:
+        """The Fock oracle's own grid, coarser than the scenario's: the
+        state ODE is smooth."""
+        steps = max(2000, int(round(self.periods * self.oracle_steps_per_period)))
+        return TimeGrid(self.time_grid.t0, self.time_grid.t1, steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,12 +186,13 @@ def flawed_identification_residual(report: EquivalenceReport, t: float) -> float
 def run_equivalence(scenarios):
     """Run all three engines on the shared grid and assemble the report.
 
-    Given a sequence of scenarios, returns their reports in order.  The
-    scenarios whose propagations share a time grid, splitting, n_points
-    and record cadence run as one batched ``propagate``, whose rows they
-    share if they also share the initial grid, params, field, ics and
-    match_quantum_ics.  After the propagations, the Fock oracles that
-    share an oracle grid, n_fock, mass, omega0 and hbar run as one batched
+    Given a sequence of scenarios, returns their reports in order.  Every
+    run builds its triples before any batch runs.  The scenarios whose
+    propagations share a time grid, splitting, n_points and record cadence
+    run as one batched ``propagate``, whose rows they share if they also
+    share the initial grid, params, field, ics and match_quantum_ics.
+    After the propagations, the Fock oracles that share an oracle grid,
+    n_fock, mass, omega0 and hbar run as one batched
     ``fock_state_moments``, whose rows they share if they also share
     params, field, ics and match_quantum_ics.  Each report equals that of
     its scenario run alone.  An exception that escapes is re-raised as
@@ -189,20 +202,18 @@ def run_equivalence(scenarios):
     single = isinstance(scenarios, Scenario)
     scenarios = [scenarios] if single else list(scenarios)
     runs = [_run(s) for s in scenarios]
-    starts = [_advance(s, run, None) for s, run in zip(scenarios, runs)]
+    starts, oracles = zip(*(_advance(s, run, None) for s, run in zip(scenarios, runs)))
     records = _batched(
         scenarios, starts, _propagate,
         key=lambda s, start: (s.time_grid, s.splitting, start[0].grid.n_points,
                               s.record_every),
         row=lambda s, start: (start[0].grid, s.params, s.field, s.ics, s.match_quantum_ics))
-    states = [_advance(s, run, records[i])
-              for i, (s, run) in enumerate(zip(scenarios, runs))]
-    oracles = _batched(
-        scenarios, states, _fock_oracle,
-        key=lambda s, state: (_oracle_grid(s), len(state), s.params.mass, s.params.omega0,
-                              s.params.hbar),
-        row=lambda s, state: (s.params, s.field, s.ics, s.match_quantum_ics))
-    reports = [_advance(s, run, oracles.get(i))
+    sups = _batched(
+        scenarios, oracles, _fock_oracle,
+        key=lambda s, oracle: (s.oracle_grid, len(oracle[0]), s.params.mass,
+                               s.params.omega0, s.params.hbar),
+        row=lambda s, oracle: (s.params, s.field, s.ics, s.match_quantum_ics))
+    reports = [_advance(s, run, (records[i], sups.get(i)))
                for i, (s, run) in enumerate(zip(scenarios, runs))]
     return reports[0] if single else reports
 
@@ -259,14 +270,17 @@ def _propagate(group: list, starts: list) -> list:
 
 
 def _run(s: Scenario):
-    """The report of ``s``, as a generator: it yields the initial state of
-    its propagation and the triple's drive table, is sent the record, yields
-    the initial Fock state of its oracle (None with the oracle off), is
-    sent the oracle's two sups (None likewise), and returns the report."""
+    """The report of ``s``, as a generator: it builds its triples, yields
+    the initial state and drive table of its propagation and the initial
+    Fock state and triple of its oracle (None with the oracle off), is
+    sent the record and the oracle's two sups (None likewise), and returns
+    the report."""
     params, field, grid = s.params, s.field, s.time_grid
     damped = field.gamma > 0
 
-    hsol = _heisenberg(s, grid)
+    hsol = evolve_heisenberg(params, field, grid, s.ics)
+    oracle_sol = (evolve_heisenberg(params, field, s.oracle_grid, s.ics) if s.fock_oracle
+                  else None)
     ref = hsol.drive.reference
     # the classical path; a damped table's reference is that path on
     # grid.refined(2)
@@ -302,7 +316,8 @@ def _run(s: Scenario):
         series[rec] for series in (x_h, x2_h, xi, q_c, qdot_c, classical_mean))
     drive = hsol.drive
     del hsol, traj
-    prop = yield displaced_state(params, pgrid, q_init, v_init), drive
+    prop, oracle = yield ((displaced_state(params, pgrid, q_init, v_init), drive),
+                          (state, oracle_sol) if s.fock_oracle else None)
 
     vacuum = expectation_x2(ground_state(params, pgrid))
     residual = x2_h - q_c**2
@@ -325,7 +340,6 @@ def _run(s: Scenario):
     if damped:
         decay_time = decay_certificate(ref, s.decay_threshold)
 
-    oracle = yield state if s.fock_oracle else None
     oracle_x, oracle_x2 = oracle or (None, None)
 
     tolerances = {"equivalence": s.tol_equivalence, "residual": TOL_RESIDUAL,
@@ -345,38 +359,16 @@ def _run(s: Scenario):
         final_state=prop.psi, tolerances=tolerances)
 
 
-def _heisenberg(s: Scenario, grid: TimeGrid):
-    """The triple of ``s`` on ``grid``; a damped table's reference is the
-    classical trajectory from the scenario's ICs on ``grid.refined(2)``."""
-    ref = None
-    if s.field.gamma > 0:
-        ref = solve_trajectory(s.params, s.field, s.ics, grid.refined(2))
-    return evolve_heisenberg(s.params, s.field, grid, reference_trajectory=ref)
-
-
-def _oracle_grid(s: Scenario) -> TimeGrid:
-    """The Fock oracle's own grid, coarser than the scenario's: the state
-    ODE is smooth."""
-    steps = max(2000, int(round(s.periods * s.oracle_steps_per_period)))
-    return TimeGrid(s.time_grid.t0, s.time_grid.t1, steps)
-
-
-def _fock_oracle(group: list, states: list) -> list:
+def _fock_oracle(group: list, inputs: list) -> list:
     """Independent Fock state-vector check of the closed-form Heisenberg path.
 
     One ``fock_state_moments`` call for the scenarios ``group``, which
-    share an oracle grid, n_fock, mass, omega0 and hbar, from their initial
-    Fock ``states``.  Returns per scenario the sups over every step of
-    |<x>_Fock - <x_H>| and |<x^2>_Fock - <x_H^2>|.
+    share an oracle grid, n_fock, mass, omega0 and hbar, from their
+    (initial Fock state, triple on the oracle grid) ``inputs``.  Returns
+    per scenario the sups over every step of |<x>_Fock - <x_H>| and
+    |<x^2>_Fock - <x_H^2>|.
     """
-    grid = _oracle_grid(group[0])
-    solutions = []
-    for b, s in enumerate(group):
-        try:
-            solutions.append(_heisenberg(s, grid))
-        except Exception as exc:
-            exc.row = b
-            raise
+    states, solutions = zip(*inputs)
     x_fock, x2_fock = fock_state_moments([sol.drive for sol in solutions], states)
     sups = []
     for sol, state, x, x2 in zip(solutions, states, x_fock, x2_fock):

@@ -202,22 +202,25 @@ def test_drive_table_and_forced_integration_consistency(natural):
 
 
 def test_drive_table_damped_reference(natural):
-    # damping back-action: F = -m gamma qdot along the reference
+    # damping back-action: F = -m gamma qdot along the reference, the
+    # classical path from the given ICs on grid.refined(2)
     gamma = 0.15
     field = pl.FieldModel.zero(gamma=gamma)
     grid = TimeGrid(0.0, 10.0, 2000)
-    ref = pl.solve_trajectory(natural, field, InitialConditions(1.0, 0.0),
-                              grid.refined(2))
-    drive = pl.build_drive_table(natural, field, grid, reference=ref)
+    ics = InitialConditions(1.0, 0.0)
+    ref = pl.solve_trajectory(natural, field, ics, grid.refined(2))
+    drive = pl.build_drive_table(natural, field, grid, ics=ics)
+    assert drive.reference.grid == grid.refined(2)
+    assert np.array_equal(drive.reference.q, ref.q)
+    assert np.array_equal(drive.reference.qdot, ref.qdot)
     assert np.allclose(drive.values, -natural.mass * gamma * ref.qdot)
-    with pytest.raises(ValueError):
-        pl.build_drive_table(natural, field, grid,
-                             reference=pl.solve_trajectory(
-                                 natural, field, InitialConditions(1.0, 0.0), grid))
+    # undamped, the ICs are not read and no reference is kept
+    assert pl.build_drive_table(natural, pl.FieldModel.zero(), grid, ics=ics).reference is None
 
 
 def test_damped_drive_needs_its_reference(natural):
-    # no zero-IC reference is made up: it would undamp a displaced packet
+    # no zero-IC reference is made up from missing ICs: it would undamp a
+    # displaced packet
     field = pl.FieldModel.zero(gamma=0.25)
     grid = TimeGrid(0.0, 10.0, 2000)
     for build in (lambda: pl.build_drive_table(natural, field, grid),
@@ -239,9 +242,7 @@ def test_drive_table_stage_values(natural):
     gamma = 0.15
     field = pl.FieldModel.zero(gamma=gamma)
     grid = TimeGrid(0.0, 10.0, 2000)
-    ref = pl.solve_trajectory(natural, field, InitialConditions(1.0, 0.0),
-                              grid.refined(2))
-    drive = pl.build_drive_table(natural, field, grid, reference=ref)
+    drive = pl.build_drive_table(natural, field, grid, ics=InitialConditions(1.0, 0.0))
     offsets = (0.0, 0.5, 0.3243964040201711, 0.6756035959798289)
     stages = drive.stage_values(offsets)
     assert stages.shape == (grid.n_steps, 4)
@@ -319,16 +320,13 @@ def _loop_rk4(params, gamma, grid, drive, k, q, v, path=None):
 def _golden_paths():
     """Every golden's classical path, and the forced (zero-IC) path of its
     drive table: as (id, trajectory) pairs.  Damped's classical path is
-    its reference on grid.refined(2)."""
+    its table's reference on grid.refined(2)."""
     for name, s in pl.golden_scenarios().items():
-        grid = s.time_grid
-        ref = None
-        if s.field.gamma > 0:
-            grid, ref = grid.refined(2), grid
-        traj = pl.solve_trajectory(s.params, s.field, s.ics, grid)
+        table = pl.build_drive_table(s.params, s.field, s.time_grid, ics=s.ics)
+        traj = table.reference
+        if traj is None:
+            traj = pl.solve_trajectory(s.params, s.field, s.ics, s.time_grid)
         yield f"{name}-path", traj
-        table = pl.build_drive_table(s.params, s.field, ref or grid,
-                                     reference=traj if ref else None)
         yield f"{name}-forced", pl.integrate_forced(table)
 
 

@@ -437,6 +437,27 @@ def test_invalid_scenario_value_rejected_before_engines(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+def test_too_coarse_oracle_grid_names_its_key(tmp_path, capsys, monkeypatch):
+    # at 2 periods the oracle's grid takes its floor of 2000 steps, dt
+    # 6.3e-3, above the 5.0e-3 that gives a drive at omega = 25 its 50
+    # steps a period; the scenario's own 4000 steps resolve it
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("propagate ran before validation")
+
+    monkeypatch.setattr(pl.lab, "propagate", no_propagation)
+    text = TINY
+    for section, key, value in (("field", "amplitude", "0.001"), ("field", "omega", "25"),
+                                ("time", "periods", "2"), ("fock", "oracle", "true")):
+        text = set_key(text, section, key, value)
+    assert cli.main(["run", str(write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 1
+    assert "oracle_steps_per_period" in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+    # a finer oracle grid, or no oracle, loads
+    for section, key, value in (("fock", "oracle_steps_per_period", "2000"),
+                                ("fock", "oracle", "false")):
+        cli.load_config(write(tmp_path, set_key(text, section, key, value)))
+
+
 # A free packet released from q0 = 15 swings through x = 0 with momentum
 # 15; its spectrum then needs pi/dx above 15 + 11 momentum widths.
 RELEASED = """

@@ -171,15 +171,14 @@ def test_damped_reference_consistency(natural):
     # response to the tabulated force, reproduces that solution itself
     field = pl.FieldModel.monochromatic(0.5, 0.7, gamma=0.2)
     tg = TimeGrid(0.0, 3.0 * natural.period, 3000)
-    ref = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg.refined(2))
-    sol = pl.evolve_heisenberg(natural, field, tg, reference_trajectory=ref)
+    sol = pl.evolve_heisenberg(natural, field, tg, ics=InitialConditions(0.0, 0.0))
     damped = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
     assert np.max(np.abs(damped.q)) > 0.1  # non-trivial motion
     assert np.max(np.abs(sol.xi - damped.q)) < 1e-10
 
 
 def _oracle_batch(batch):
-    # charges with 0 among them, a damped row with its reference, and
+    # charges with 0 among them, a damped row with its reference's ICs, and
     # displaced, boosted coherent states, all on one grid and one basis
     tg = TimeGrid(0.0, 1.5, 600)
     rows = [(0.8, pl.FieldModel.monochromatic(0.3, 0.5), 0.5, 0.2),
@@ -189,11 +188,7 @@ def _oracle_batch(batch):
     drives, states = [], []
     for charge, field, q0, v0 in rows[:batch]:
         params = pl.OscillatorParams(charge=charge)
-        ref = None
-        if field.gamma > 0:
-            ref = pl.solve_trajectory(params, field, InitialConditions(q0, v0),
-                                      tg.refined(2))
-        drives.append(pl.build_drive_table(params, field, tg, ref))
+        drives.append(pl.build_drive_table(params, field, tg, ics=InitialConditions(q0, v0)))
         states.append(pl.coherent_state_vector(params, 48, q0, v0))
     return drives, states
 

@@ -132,16 +132,20 @@ def test_one_drive_table_per_heisenberg_grid(monkeypatch, oracle, tables):
                                    pl.FieldModel.zero(gamma=0.1)], ids=["driven", "damped"])
 def test_propagate_gets_the_triples_table(monkeypatch, field):
     # the table evolve_heisenberg built on the scenario's grid, the same
-    # object, damping reference included; the oracle's triple is on its own grid
-    built, passed = [], []
+    # object, damping reference included; the oracle's triple is on its own
+    # grid (here of the same 2000 steps), and both triples are built before
+    # the propagation starts
+    calls, built, passed = [], [], []
     evolve, propagate = pl.lab.evolve_heisenberg, pl.lab.propagate
 
     def evolving(*args, **kwargs):
+        calls.append("evolve_heisenberg")
         sol = evolve(*args, **kwargs)
         built.append(sol.drive)
         return sol
 
     def propagating(drive, *args, **kwargs):
+        calls.append("propagate")
         passed.append(drive)
         return propagate(drive, *args, **kwargs)
 
@@ -150,9 +154,11 @@ def test_propagate_gets_the_triples_table(monkeypatch, field):
     s = quick_scenario(field=field, ics=InitialConditions(1.0, 0.0), periods=0.5,
                        n_steps=2000, fock_oracle=True)
     assert pl.run_equivalence(s).equivalence_pass
-    assert len(built) == 2 and len(passed) == 1
+    assert calls == ["evolve_heisenberg", "evolve_heisenberg", "propagate"]
     assert passed[0] is built[0] and passed[0].grid == s.time_grid
-    assert (passed[0].reference is not None) == (field.gamma > 0)
+    assert built[1].grid == s.oracle_grid
+    for table in built:
+        assert (table.reference is not None) == (field.gamma > 0)
 
 
 def test_a_wrong_drive_table_is_caught_by_the_checks_that_do_not_read_it(monkeypatch):
