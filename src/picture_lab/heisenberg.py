@@ -16,10 +16,13 @@ vector's length sets the Fock basis.
 ``fock_state_moments`` is an independent check of the triple: it reads
 the same drive table but propagates the Fock state vector itself, by its
 own RK4 loop in the interaction picture, and so exercises the ladder
-algebra and the truncation rather than the triple's formulas.  It applies
-x_I(t) by the two bands of x, and runs a batch of (drive table, state)
-pairs on one grid and basis through the same loop as a single pair, on a
-stack of states whose rows equal their single runs bit for bit.
+algebra and the truncation rather than the triple's formulas.  It takes
+each RK4 step in a frame rotating with hbar omega0 n, where the step is
+one product by a 9-band matrix, a fixed polynomial in x whose real
+coefficients come from the step's three forces.  It runs a batch of
+(drive table, state) pairs on one grid and basis through the same loop
+as a single pair, on a stack of states whose rows equal their single
+runs bit for bit.
 """
 
 from __future__ import annotations
@@ -28,12 +31,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import DriveTable, InitialConditions, build_drive_table, integrate_forced
 from .errors import TruncationError
 from .model import FieldModel, OscillatorParams, TimeGrid
 
 _TAIL_POPULATION_LIMIT = 1e-10
+#: bytes of each block buffer of ``fock_state_moments``, as of ``propagate``'s
+_BLOCK_BYTES = 1 << 17
+#: bands of the oracle's step matrix on each side of its diagonal
+_HALF = 4
 
 
 def build_ladder_operators(params: OscillatorParams, n_fock: int):
@@ -86,14 +94,19 @@ def coherent_state_vector(params: OscillatorParams, n_fock: int,
     return vec
 
 
-def _check_tail(state: np.ndarray, row: int | None = None):
+def _tail_error(tail: float, row: int | None = None,
+                step: int | None = None) -> TruncationError:
+    at = "" if step is None else f" at step {step}"
+    exc = TruncationError(f"last-two-level population {tail:.3g} exceeds "
+                          f"{_TAIL_POPULATION_LIMIT:g}{at}; increase n_fock")
+    exc.row = row
+    return exc
+
+
+def _check_tail(state: np.ndarray):
     tail = float(abs(state[-1]) ** 2 + abs(state[-2]) ** 2)
     if not tail <= _TAIL_POPULATION_LIMIT:  # a NaN tail fails too
-        exc = TruncationError(
-            f"last-two-level population {tail:.3g} exceeds {_TAIL_POPULATION_LIMIT:g}; "
-            f"increase n_fock")
-        exc.row = row
-        raise exc
+        raise _tail_error(tail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,6 +169,63 @@ def evolve_heisenberg(params: OscillatorParams, field: FieldModel, time_grid: Ti
     return HeisenbergSolution(drive=drive, a=a, b=b, xi=xi)
 
 
+def _step_terms(above: np.ndarray, below: np.ndarray, omega0: float,
+                dt: float) -> np.ndarray:
+    """The 10 fixed terms of one RK4 step of the oracle in its rotating frame.
+
+    In the frame chi = Phi(t - t0) psi_I, Phi(tau) = diag(e^{-i omega0 tau n}),
+    x_I(t + h) acts on chi as Y(h) = Phi(h)+ x Phi(h), so one classic RK4
+    step is chi <- sum_j c_j T_j chi: T_j is Phi(dt) times a product of
+    Y1 = Y(0), Y2 = Y(dt/2) and Y3 = Y(dt) with its factors of i and dt,
+    and c_j the real product of the step's stage forces f = F/hbar that
+    multiplies it, in the order of ``_block_coefficients``.  x chi is
+    above chi[k+1] + below chi[k-1].  Returns the 2 _HALF + 1 bands of
+    every T_j, band d holding T_j[k, k + d - _HALF] at k, as a
+    (10, 2 (2 _HALF + 1) dim) real array.
+    """
+    dim, width = len(above), 2 * _HALF + 1
+    levels = np.arange(dim)
+
+    def y(h, vecs):
+        out = np.zeros_like(vecs)
+        out[:-1] = np.exp(-1j * omega0 * h) * above[:-1, None] * vecs[1:]
+        out[1:] += np.exp(1j * omega0 * h) * below[1:, None] * vecs[:-1]
+        return out
+
+    # probe c sums the levels k = c (mod width); no product of up to four Y
+    # reaches past _HALF levels, so row k of T @ probes holds
+    # T[k, k + d - _HALF] in column (k + d - _HALF) mod width
+    probes = (levels[:, None] % width == np.arange(width)).astype(complex)
+    y1, y2, y3 = y(0.0, probes), y(0.5 * dt, probes), y(dt, probes)
+    y21, y22 = y(0.5 * dt, y1), y(0.5 * dt, y2)
+    y221 = y(0.5 * dt, y21)
+    products = (probes, y1, y2, y3, y21, y22, y(dt, y2), y221, y(dt, y22), y(dt, y221))
+    factors = (1.0, 1j * dt / 6.0, 2j * dt / 3.0, 1j * dt / 6.0, -dt**2 / 6.0, -dt**2 / 6.0,
+               -dt**2 / 6.0, -1j * dt**3 / 12.0, -1j * dt**3 / 12.0, dt**4 / 24.0)
+    rotation = np.exp(-1j * omega0 * dt * levels)
+    columns = (levels + np.arange(width)[:, None] - _HALF) % width
+    bands = np.stack([factor * rotation * product[levels, columns]
+                      for factor, product in zip(factors, products)])
+    return bands.reshape(len(factors), -1).view(float)
+
+
+def _block_coefficients(forces: np.ndarray) -> np.ndarray:
+    """(L, B, 1, 10) coefficients c_j of L steps from their (2 L + 1, B)
+    half-step forces f = F/hbar, matching the terms of ``_step_terms``."""
+    f1, f2, f3 = forces[:-1:2], forces[1::2], forces[2::2]
+    f22 = f2 * f2
+    return np.stack((np.ones_like(f1), f1, f2, f3, f2 * f1, f22, f3 * f2,
+                     f22 * f1, f3 * f22, f3 * f22 * f1), axis=-1)[:, :, None, :]
+
+
+def _depths(n_steps: int, batch: int, dim: int) -> tuple:
+    """Steps per block of ``fock_state_moments``: of its zero-padded
+    states, and of its step bands, each buffer at most ``_BLOCK_BYTES``."""
+    states = min(n_steps, max(1, _BLOCK_BYTES // (16 * batch * (dim + 2 * _HALF))))
+    bands = min(states, max(1, _BLOCK_BYTES // (16 * batch * (2 * _HALF + 1) * dim)))
+    return states, bands
+
+
 def fock_state_moments(drive, state):
     """<x> and <x^2> on the table's grid for ``state`` evolved under H(t).
 
@@ -163,10 +233,12 @@ def fock_state_moments(drive, state):
     d psi_I/dt = (i/hbar) F(t) x_I(t) psi_I in the interaction picture of
     hbar omega0 (n + 1/2), where
     x_I(t) = s (a e^{-i omega0 t} + a+ e^{i omega0 t}) and F is read
-    from ``drive`` at the half steps.  Then
-    <x> = <psi_I|x_I psi_I> and <x^2> = ||x_I psi_I||^2.  x_I is applied
-    as two shifted elementwise products by the bands of x: s a holds the
-    one nonzero of each row above the diagonal, s a+ that below it.
+    from ``drive`` at the half steps.  Each step runs in the rotating
+    frame chi of ``_step_terms``, as one product by 9 bands that the
+    step's three forces weight; <x> = <chi|x chi> and <x^2> = ||x chi||^2.
+    Per block of steps, one product per step and state builds the bands,
+    and one vectorised pass takes the moments of the block's states and
+    checks their tails.
 
     ``drive`` and ``state`` are one table and one state vector, or a
     batch: a sequence of B tables on one time grid, with one mass, omega0
@@ -174,9 +246,10 @@ def fock_state_moments(drive, state):
     otherwise).  A batch runs through the same loop as one state, on a
     (B, n_fock) stack, and returns (B, n_steps + 1) arrays whose row b
     equals the single run of table b and state b bit for bit.  Raises
-    TruncationError as soon as the last two levels of a state hold too
-    much population at any step, with the index of that state as ``row``
-    (0 for a single state).
+    TruncationError if the last two levels of a state hold too much
+    population at any step, naming the first such step and, with the
+    index of that state as ``row`` (0 for a single state), the first such
+    state in it, as a check after every step would.
     """
     single = isinstance(drive, DriveTable)
     drives = [drive] if single else list(drive)
@@ -188,45 +261,58 @@ def fock_state_moments(drive, state):
             for d in drives):
         raise ValueError("a batch needs one state of equal length per drive table, "
                          "the tables on one time grid with one mass, omega0 and hbar")
-    psi = np.array(states, dtype=complex)
-    batch, dim = psi.shape
-    x_op, _ = build_ladder_operators(params, dim)
-    upper, lower = np.diag(x_op, 1), np.diag(x_op, -1)
-    # s a psi and s a+ psi; each leaves one column at zero
-    lowered = np.zeros((batch, dim), dtype=complex)
-    raised = np.zeros((batch, dim), dtype=complex)
-    lowered_body, raised_body = lowered[:, :-1], raised[:, 1:]
-    phases = np.exp(-1j * params.omega0 * (time_grid.half_times - time_grid.t0)).tolist()
-    # (2 n_steps + 1, B, 1): each half step's gain as a column of the stack
-    gains = np.stack([1j / params.hbar * d.values for d in drives], axis=-1)[..., None]
-
-    def x_times(k, vec):
-        np.multiply(upper, vec[:, 1:], out=lowered_body)
-        np.multiply(lower, vec[:, :-1], out=raised_body)
-        e = phases[k]
-        return e * lowered + e.conjugate() * raised
-
+    batch, dim = len(states), len(states[0])
     n = time_grid.n_steps
-    dt = time_grid.dt
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    x_op, _ = build_ladder_operators(params, dim)
+    above = np.append(np.diag(x_op, 1), 0.0)  # x chi = above chi[k+1] + below chi[k-1]
+    below = np.insert(np.diag(x_op, -1), 0, 0.0)
+    terms = _step_terms(above, below, params.omega0, time_grid.dt)
+    forces = np.stack([d.values for d in drives], axis=-1) / params.hbar  # (2 n + 1, B)
     mean_x = np.empty((batch, n + 1))
     mean_x2 = np.empty((batch, n + 1))
-    for i in range(n + 1):
-        for b in range(batch):
-            _check_tail(psi[b], b)
-        x_psi = x_times(2 * i, psi)
-        for b in range(batch):  # one dot per state keeps each row's sums
-            row, x_row = psi[b], x_psi[b]
-            mean_x[b, i] = np.vdot(row, x_row).real
-            mean_x2[b, i] = np.vdot(x_row, x_row).real
-        if i == n:
-            break
-        k1 = gains[2 * i] * x_psi
-        k2 = gains[2 * i + 1] * x_times(2 * i + 1, psi + half * k1)
-        k3 = gains[2 * i + 1] * x_times(2 * i + 1, psi + half * k2)
-        k4 = gains[2 * i + 2] * x_times(2 * i + 2, psi + dt * k3)
-        psi = psi + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+
+    # row i of a block holds the state of its step i, zero-padded by _HALF
+    # levels on each side, so that each step's windows onto it stay fixed
+    depth, band_depth = _depths(n, batch, dim)
+    padded = np.zeros((depth + 1, batch, dim + 2 * _HALF), dtype=complex)
+    chis = padded[:, :, _HALF:_HALF + dim]
+    windows = sliding_window_view(padded, dim, axis=-1)  # (depth + 1, B, 9, dim)
+    band_buffer = np.empty((band_depth, batch, 1, terms.shape[1]))
+    bands = band_buffer.view(complex).reshape(band_depth, batch, 2 * _HALF + 1, dim)
+    chis[0] = states
+
+    def settle(first, count):
+        """Check the tails of the block's first ``count`` states, from step
+        ``first`` on, then store their moments."""
+        chi = chis[:count]
+        # np.hypot is abs() of a complex scalar, as _check_tail takes it
+        last, second = (np.hypot(chi[..., k].real, chi[..., k].imag) for k in (-1, -2))
+        tails = last**2 + second**2
+        over = ~(tails <= _TAIL_POPULATION_LIMIT)  # a NaN tail fails too
+        if over.any():
+            i, b = np.unravel_index(np.argmax(over), over.shape)
+            raise _tail_error(float(tails[i, b]), int(b), first + int(i))
+        x_chi = (above * padded[:count, :, _HALF + 1:_HALF + 1 + dim]
+                 + below * padded[:count, :, _HALF - 1:_HALF - 1 + dim])
+        mean_x[:, first:first + count] = (chi.real * x_chi.real
+                                          + chi.imag * x_chi.imag).sum(axis=-1).T
+        mean_x2[:, first:first + count] = (x_chi.real**2 + x_chi.imag**2).sum(axis=-1).T
+
+    # a state that overflows is caught by the tail check of its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n, depth):
+            count = min(depth, n - first)
+            coefficients = _block_coefficients(forces[2 * first:2 * (first + count) + 1])
+            for start in range(0, count, band_depth):
+                stop = min(count, start + band_depth)
+                # one (1, 10) x (10, 2 (2 _HALF + 1) dim) product per step and
+                # state: a shape that does not depend on the batch
+                np.matmul(coefficients[start:stop], terms, out=band_buffer[:stop - start])
+                for i in range(start, stop):
+                    np.einsum("bdk,bdk->bk", bands[i - start], windows[i], out=chis[i + 1])
+            settle(first, count)
+            padded[0] = padded[count]
+        settle(n, 1)
     if single:
         return mean_x[0], mean_x2[0]
     return mean_x, mean_x2

@@ -58,8 +58,11 @@ class Scenario:
     def __post_init__(self):
         n = self.n_points
         fastest, dt_max = step_limit(self.params, self.field)
-        oracle_dt = self.oracle_grid.dt
+        dt, oracle_dt = self.time_grid.dt, self.oracle_grid.dt
+        resolves = f"50 steps a period of the fastest angular frequency {fastest:.3g}"
         checks = (
+            ("n_steps", dt <= dt_max,
+             f"must give the time grid a dt of at most {dt_max:.3g}, {resolves}, not {dt:.3g}"),
             ("record_every", self.record_every >= 1, "must be at least 1"),
             ("tol_equivalence", _positive(self.tol_equivalence), "must be finite and > 0"),
             ("decay_threshold", _positive(self.decay_threshold), "must be finite and > 0"),
@@ -70,14 +73,15 @@ class Scenario:
             ("oracle_steps_per_period", self.oracle_steps_per_period >= 1,
              "must be at least 1"),
             ("oracle_steps_per_period", not self.fock_oracle or oracle_dt <= dt_max,
-             f"must give the oracle's grid a dt of at most {dt_max:.3g}, 50 steps a period "
-             f"of the fastest angular frequency {fastest:.3g}, not {oracle_dt:.3g}"),
+             f"must give the oracle's grid a dt of at most {dt_max:.3g}, {resolves}, "
+             f"not {oracle_dt:.3g}"),
             ("splitting", self.splitting in SPLITTINGS,
              f"must be one of {', '.join(SPLITTINGS)}"),
         )
         for key, ok, rule in checks:
             if not ok:
-                raise ValueError(f"{key} {rule}, got {getattr(self, key)!r}")
+                owner = self.time_grid if key == "n_steps" else self
+                raise ValueError(f"{key} {rule}, got {getattr(owner, key)!r}")
 
     @property
     def periods(self) -> float:

@@ -124,9 +124,10 @@ def test_equivalence_failure_exit_two(tmp_path, capsys):
 
 
 def test_engine_error_exit_one(tmp_path, capsys):
-    cfg = write(tmp_path, TINY.replace("n_steps = 4000", "n_steps = 10"))
+    # the path of a strong drive fails the step guard once the run starts
+    cfg = write(tmp_path, TINY.replace("amplitude = 0.1", "amplitude = 20"))
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "dt" in capsys.readouterr().err
+    assert "sub-step" in capsys.readouterr().err
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -399,6 +400,7 @@ def one_error_line(capsys):
     ("time", "splitting", "rk2"),
     ("time", "splitting", "yoshida4"),  # retired
     ("time", "n_steps", "1e400"),
+    ("time", "n_steps", "10"),  # a dt too coarse for the field
     ("grid", "n_points", "inf"),
     ("field", "seed", "3"),
     ("run", "name", "../escaped"),
@@ -413,6 +415,7 @@ def one_error_line(capsys):
     (None, "dt", "-0.01"),
     (None, "dt", "inf"),
     (None, "dt", "100"),
+    (None, "dt", "0.5"),
 ])
 def test_invalid_scenario_value_rejected_before_engines(tmp_path, capsys, monkeypatch,
                                                         section, key, value):

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import picture_lab as pl
-from picture_lab import InitialConditions, TimeGrid
+from picture_lab import InitialConditions, TimeGrid, heisenberg
 
 
 def test_ladder_matrix_element_with_quadrature_oracle(natural):
@@ -179,25 +180,32 @@ def test_damped_reference_consistency(natural):
 
 def _oracle_batch(batch):
     # charges with 0 among them, a damped row with its reference's ICs, and
-    # displaced, boosted coherent states, all on one grid and one basis
+    # displaced, boosted coherent states, all on one grid and one basis;
+    # past 4 rows they repeat at other charges
     tg = TimeGrid(0.0, 1.5, 600)
     rows = [(0.8, pl.FieldModel.monochromatic(0.3, 0.5), 0.5, 0.2),
             (0.0, pl.FieldModel.monochromatic(0.3, 0.5), -1.0, 0.0),
             (1.0, pl.FieldModel.monochromatic(0.2, 0.7, gamma=0.15), 0.3, -0.6),
             (1.5, pl.FieldModel.mode_sum([0.05, 0.03], [0.41, 1.73], seed=19), 0.0, 0.9)]
     drives, states = [], []
-    for charge, field, q0, v0 in rows[:batch]:
-        params = pl.OscillatorParams(charge=charge)
+    for k in range(batch):
+        charge, field, q0, v0 = rows[k % len(rows)]
+        params = pl.OscillatorParams(charge=charge * (1.0 + 0.5 * (k // len(rows))))
         drives.append(pl.build_drive_table(params, field, tg, ics=InitialConditions(q0, v0)))
         states.append(pl.coherent_state_vector(params, 48, q0, v0))
     return drives, states
 
 
-@pytest.mark.parametrize("batch", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [1, 2, 3, 4, 5])
 def test_batched_oracle_rows_equal_their_single_calls(batch):
     drives, states = _oracle_batch(batch)
+    n = drives[0].grid.n_steps
+    if batch == 5:  # the batch's blocks, of states and of bands, are not the single run's
+        depths = heisenberg._depths(n, batch, 48)
+        assert depths != heisenberg._depths(n, 1, 48)
+        assert n % depths[0] and depths[0] % depths[1]
     mean_x, mean_x2 = pl.fock_state_moments(drives, states)
-    assert mean_x.shape == mean_x2.shape == (batch, drives[0].grid.n_steps + 1)
+    assert mean_x.shape == mean_x2.shape == (batch, n + 1)
     for b in range(batch):
         alone_x, alone_x2 = pl.fock_state_moments(drives[b], states[b])
         assert np.array_equal(mean_x[b], alone_x), b
@@ -206,7 +214,8 @@ def test_batched_oracle_rows_equal_their_single_calls(batch):
 
 def _dense_oracle(drive, state):
     """The oracle's RK4 loop with x_I(t) as dense products by the two
-    triangles of x, the form that the band products replace."""
+    triangles of x, the form that the band products replace, checking the
+    tail of every step's state before taking its moments."""
     params, tg = drive.params, drive.grid
     x_op, _ = pl.build_ladder_operators(params, len(state))
     above, below = np.triu(x_op, 1), np.tril(x_op, -1)
@@ -218,6 +227,10 @@ def _dense_oracle(drive, state):
 
     psi, dt, moments = state, tg.dt, []
     for i in range(tg.n_steps + 1):
+        tail = float(abs(psi[-1]) ** 2 + abs(psi[-2]) ** 2)
+        if not tail <= 1e-10:
+            raise pl.TruncationError(f"last-two-level population {tail:.3g} exceeds 1e-10 "
+                                     f"at step {i}; increase n_fock")
         x_psi = x_times(2 * i, psi)
         moments.append((np.vdot(psi, x_psi).real, np.vdot(x_psi, x_psi).real))
         if i < tg.n_steps:
@@ -237,6 +250,76 @@ def test_band_products_match_the_dense_ladder():
         dense_x, dense_x2 = _dense_oracle(drive, state)
         np.testing.assert_allclose(mean_x[b], dense_x, rtol=0, atol=1e-13)
         np.testing.assert_allclose(mean_x2[b], dense_x2, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["free", "driven", "mode_sum", "damped"])
+def test_band_products_match_the_dense_ladder_on_the_golden_fields(name):
+    # each golden's field, ICs and basis on its oracle's grid cut to 2 periods
+    s = pl.golden_scenarios()[name]
+    tg = TimeGrid(s.time_grid.t0, s.time_grid.t0 + 2.0 * s.params.period, 2000)
+    drive = pl.build_drive_table(s.params, s.field, tg, s.ics)
+    state = pl.coherent_state_vector(s.params, s.n_fock, s.ics.q0, s.ics.v0)
+    mean_x, mean_x2 = pl.fock_state_moments(drive, state)
+    dense_x, dense_x2 = _dense_oracle(drive, state)
+    np.testing.assert_allclose(mean_x, dense_x, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(mean_x2, dense_x2, rtol=0, atol=1e-13)
+
+
+def _kicked(params, tg, step):
+    """A table that is 0 except on the 4 steps before ``step``; None is all
+    0.  An RK4 step is a polynomial of degree 4 in x, so from the ground
+    state the last two of 16 levels fill at ``step`` and not before."""
+    drive = pl.build_drive_table(params, pl.FieldModel.zero(), tg)
+    values = np.zeros_like(drive.values)
+    if step is not None:
+        values[2 * step - 8:2 * step + 1] = 0.5 / tg.dt
+    return replace(drive, values=values)
+
+
+def _blocks(n, batch, dim):
+    """The first steps of the oracle's second and last blocks of states."""
+    depth = heisenberg._depths(n, batch, dim)[0]
+    return depth, (n - 1) // depth * depth
+
+
+@pytest.mark.parametrize("where", ["first of a block", "last of a block", "final sample"])
+def test_blocked_tail_guard_names_the_step_a_per_step_check_would(natural, where):
+    tg = TimeGrid(0.0, 1.0, 400)
+    second, last = _blocks(tg.n_steps, 2, 16)
+    assert 0 < second < last < tg.n_steps
+    step = {"first of a block": last, "last of a block": second - 1,
+            "final sample": tg.n_steps}[where]
+    early = _kicked(natural, tg, step)
+    with pytest.raises(pl.TruncationError) as dense:
+        _dense_oracle(early, pl.ground_state_vector(16))
+    assert f"at step {step};" in str(dense.value)
+    # row 0 trips a step later, if there is one: the error names row 1
+    late = _kicked(natural, tg, step + 1 if step < tg.n_steps else None)
+    ground = pl.ground_state_vector(16)
+    with pytest.raises(pl.TruncationError) as batch:
+        pl.fock_state_moments([late, early], [ground, ground])
+    assert batch.value.row == 1
+    assert str(batch.value) == str(dense.value)
+    with pytest.raises(pl.TruncationError) as alone:
+        pl.fock_state_moments(early, ground)
+    assert alone.value.row == 0
+    assert str(alone.value) == str(dense.value)
+
+
+def test_a_state_that_overflows_mid_block_trips_the_tail_guard(natural):
+    # F = 1e200 at the midpoint of step 99 overflows its coefficients, and
+    # so row 1's state at step 100, inside a block; RuntimeWarning is an
+    # error here
+    tg = TimeGrid(0.0, 1.0, 400)
+    assert 100 < _blocks(tg.n_steps, 2, 16)[0] - 1
+    quiet = _kicked(natural, tg, None)
+    values = np.zeros_like(quiet.values)
+    values[2 * 99 + 1] = 1e200
+    ground = pl.ground_state_vector(16)
+    with pytest.raises(pl.TruncationError,
+                       match="population nan exceeds 1e-10 at step 100;") as caught:
+        pl.fock_state_moments([quiet, replace(quiet, values=values)], [ground, ground])
+    assert caught.value.row == 1
 
 
 def test_batched_tail_guard_trips_for_its_row(natural):

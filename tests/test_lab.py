@@ -324,9 +324,14 @@ def test_mismatched_ics_break_identification_but_not_equivalence():
 
 
 def test_error_context_names_scenario():
-    s = quick_scenario("coarse", n_steps=10)
-    with pytest.raises(pl.StepTooCoarse, match="coarse"):
+    # a time grid too coarse for the field is rejected when the scenario is
+    # built; the path guard's sub-step check is raised by the run
+    with pytest.raises(ValueError, match="n_steps"):
+        quick_scenario("coarse", n_steps=10)
+    s = quick_scenario("coarse", field=pl.FieldModel.monochromatic(20.0, 0.5), n_steps=1000)
+    with pytest.raises(pl.StepTooCoarse, match=r"^\[scenario coarse\] sub-step") as caught:
         pl.run_equivalence(s)
+    assert caught.value.scenario == "coarse"
 
 
 def test_observed_order_on_synthetic_data():
