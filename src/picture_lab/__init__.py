@@ -20,8 +20,8 @@ from .heisenberg import (HeisenbergSolution, build_ladder_operators, closed_form
 from .lab import (EquivalenceReport, Scenario, flawed_identification_residual,
                   flawed_pipeline_value, free_limit_sweep, observed_order,
                   run_equivalence)
-from .model import (FieldModel, OscillatorParams, TimeGrid, evaluate_field,
-                    ground_state_width)
+from .model import (FieldModel, GaussianState, OscillatorParams, TimeGrid,
+                    evaluate_field, ground_state_width)
 from .schrodinger import (SPLITTINGS, GridWavefunction, PositionGrid,
                           PropagationRecord, decompose_x2, displaced_state,
                           exact_state, expectation_x, expectation_x2, ground_state,
@@ -41,8 +41,8 @@ __all__ = [
     "EquivalenceReport", "Scenario", "flawed_identification_residual",
     "flawed_pipeline_value", "free_limit_sweep", "golden_scenarios",
     "observed_order", "run_equivalence",
-    "FieldModel", "OscillatorParams", "TimeGrid", "evaluate_field",
-    "ground_state_width",
+    "FieldModel", "GaussianState", "OscillatorParams", "TimeGrid",
+    "evaluate_field", "ground_state_width",
     "SPLITTINGS", "GridWavefunction", "PositionGrid", "PropagationRecord",
     "decompose_x2", "displaced_state", "exact_state", "expectation_x",
     "expectation_x2", "ground_state", "phase_history", "propagate",

@@ -1,4 +1,4 @@
-"""Truncated-Fock-basis Heisenberg engine.
+"""Heisenberg-picture engine: the closed-form triple and its Fock-basis oracle.
 
 Under H(t) = hbar omega0 (n + 1/2) - F(t) x, where F(t) is the same
 c-number force that drives the other engines (field drive plus damping
@@ -10,8 +10,8 @@ position operator evolves as
 with a = cos(omega0 t), b = sin(omega0 t)/(m omega0) and xi the zero-IC
 c-number response, which the classical RK4 kernel integrates from the
 drive table that the solution carries.  ``closed_form_moments`` takes
-<x_H> and <x_H^2> in any state from this coefficient triple; the state
-vector's length sets the Fock basis.
+<x_H> and <x_H^2> from this coefficient triple and a Gaussian state's
+means and covariance.
 
 ``fock_state_moments`` is an independent check of the triple: it reads
 the same drive table but propagates the Fock state vector itself, by its
@@ -35,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .classical import DriveTable, InitialConditions, build_drive_table, integrate_forced
 from .errors import TruncationError
-from .model import FieldModel, OscillatorParams, TimeGrid
+from .model import FieldModel, GaussianState, OscillatorParams, TimeGrid
 
 _TAIL_POPULATION_LIMIT = 1e-10
 #: bytes of each block buffer of ``fock_state_moments``, as of ``propagate``'s
@@ -90,7 +90,9 @@ def coherent_state_vector(params: OscillatorParams, n_fock: int,
     exponent = n * np.log(complex(alpha)) - 0.5 * log_fact
     coeff = np.exp(exponent - exponent.real.max())
     vec = coeff / np.linalg.norm(coeff)
-    _check_tail(vec)
+    tail = float(abs(vec[-1]) ** 2 + abs(vec[-2]) ** 2)
+    if not tail <= _TAIL_POPULATION_LIMIT:  # a NaN tail fails too
+        raise _tail_error(tail)
     return vec
 
 
@@ -101,12 +103,6 @@ def _tail_error(tail: float, row: int | None = None,
                           f"{_TAIL_POPULATION_LIMIT:g}{at}; increase n_fock")
     exc.row = row
     return exc
-
-
-def _check_tail(state: np.ndarray):
-    tail = float(abs(state[-1]) ** 2 + abs(state[-2]) ** 2)
-    if not tail <= _TAIL_POPULATION_LIMIT:  # a NaN tail fails too
-        raise _tail_error(tail)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,24 +125,18 @@ class HeisenbergSolution:
         return self.drive.grid
 
 
-def closed_form_moments(sol: HeisenbergSolution, state: np.ndarray):
+def closed_form_moments(sol: HeisenbergSolution, state: GaussianState):
     """The triple's <x_H> and <x_H^2> in ``state`` on every grid sample.
 
-    The basis has dimension len(state).  Raises TruncationError if the
-    state's last two levels hold too much population.
+    Raises ValueError if the state's covariance breaks the uncertainty
+    relation var_x var_p - cov_xp^2 >= hbar^2/4 by more than 1e-12 of it.
     """
-    _check_tail(state)
-    x_op, p_op = build_ladder_operators(sol.drive.params, len(state))
-    xv = x_op @ state
-    pv = p_op @ state
-    mx = float(np.real(np.vdot(state, xv)))
-    mp = float(np.real(np.vdot(state, pv)))
-    xx = float(np.real(np.vdot(xv, xv)))
-    pp = float(np.real(np.vdot(pv, pv)))
-    xp_sym = 2.0 * float(np.real(np.vdot(xv, pv)))
-    a, b, xi = sol.a, sol.b, sol.xi
-    x = a * mx + b * mp + xi
-    x2 = a**2 * xx + b**2 * pp + a * b * xp_sym + 2.0 * xi * (a * mx + b * mp) + xi**2
+    hbar = sol.drive.params.hbar
+    if not 4.0 * (state.var_x * state.var_p - state.cov_xp**2) >= (1.0 - 1e-12) * hbar**2:
+        raise ValueError(f"{state} breaks the uncertainty relation at hbar = {hbar!r}")
+    a, b = sol.a, sol.b
+    x = a * state.q + b * state.p + sol.xi
+    x2 = x**2 + a**2 * state.var_x + b**2 * state.var_p + 2.0 * a * b * state.cov_xp
     return x, x2
 
 
@@ -285,7 +275,7 @@ def fock_state_moments(drive, state):
         """Check the tails of the block's first ``count`` states, from step
         ``first`` on, then store their moments."""
         chi = chis[:count]
-        # np.hypot is abs() of a complex scalar, as _check_tail takes it
+        # np.hypot is abs() of a complex scalar, as coherent_state_vector takes it
         last, second = (np.hypot(chi[..., k].real, chi[..., k].imag) for k in (-1, -2))
         tails = last**2 + second**2
         over = ~(tails <= _TAIL_POPULATION_LIMIT)  # a NaN tail fails too

@@ -21,7 +21,7 @@ import numpy as np
 from .classical import InitialConditions, decay_certificate, solve_trajectory, step_limit
 from .heisenberg import (closed_form_moments, coherent_state_vector, evolve_heisenberg,
                          fock_state_moments)
-from .model import FieldModel, OscillatorParams, TimeGrid
+from .model import FieldModel, GaussianState, OscillatorParams, TimeGrid
 from .schrodinger import (DEFAULT_PADDING_SIGMAS, MIN_N_POINTS, SPLITTINGS,
                           GridWavefunction, PositionGrid, check_path_step, expectation_x2,
                           ground_state, displaced_state, propagate, record_steps)
@@ -275,10 +275,10 @@ def _propagate(group: list, starts: list) -> list:
 
 def _run(s: Scenario):
     """The report of ``s``, as a generator: it builds its triples, yields
-    the initial state and drive table of its propagation and the initial
-    Fock state and triple of its oracle (None with the oracle off), is
-    sent the record and the oracle's two sups (None likewise), and returns
-    the report."""
+    the initial state and drive table of its propagation and the Fock and
+    Gaussian initial states and triple of its oracle (None with the oracle
+    off), is sent the record and the oracle's two sups (None likewise),
+    and returns the report."""
     params, field, grid = s.params, s.field, s.time_grid
     damped = field.gamma > 0
 
@@ -299,13 +299,14 @@ def _run(s: Scenario):
     else:
         q_init, v_init = 0.0, 0.0
         classical_mean = xi
+    state = GaussianState.coherent(params, q_init, v_init)
 
-    # the cheap guards first: the state's Fock tail, and the step along the
+    # the cheap guards first: the oracle's Fock tail, and the step along the
     # path the packet's mean will follow
-    state = coherent_state_vector(params, s.n_fock, q_init, v_init)
+    fock = coherent_state_vector(params, s.n_fock, q_init, v_init) if s.fock_oracle else None
     check_path_step(hsol.drive, classical_mean, s.splitting)
 
-    reach = float(max(np.max(np.abs(classical_mean)), abs(q_init)))
+    reach = float(max(np.max(np.abs(classical_mean)), abs(state.q)))
     speed = float(np.max(np.abs(qdot_c)))
     if not s.match_quantum_ics:
         # the packet follows xi = q_c - (free solution from q0, v0)
@@ -320,8 +321,8 @@ def _run(s: Scenario):
         series[rec] for series in (x_h, x2_h, xi, q_c, qdot_c, classical_mean))
     drive = hsol.drive
     del hsol, traj
-    prop, oracle = yield ((displaced_state(params, pgrid, q_init, v_init), drive),
-                          (state, oracle_sol) if s.fock_oracle else None)
+    prop, oracle = yield ((displaced_state(params, pgrid, state.q, state.p / params.mass),
+                           drive), (fock, state, oracle_sol) if s.fock_oracle else None)
 
     vacuum = expectation_x2(ground_state(params, pgrid))
     residual = x2_h - q_c**2
@@ -368,12 +369,12 @@ def _fock_oracle(group: list, inputs: list) -> list:
 
     One ``fock_state_moments`` call for the scenarios ``group``, which
     share an oracle grid, n_fock, mass, omega0 and hbar, from their
-    (initial Fock state, triple on the oracle grid) ``inputs``.  Returns
-    per scenario the sups over every step of |<x>_Fock - <x_H>| and
-    |<x^2>_Fock - <x_H^2>|.
+    (initial Fock state, Gaussian state, triple on the oracle grid)
+    ``inputs``; the two share only its drive table.  Returns per scenario
+    the sups over every step of |<x>_Fock - <x_H>| and |<x^2>_Fock - <x_H^2>|.
     """
-    states, solutions = zip(*inputs)
-    x_fock, x2_fock = fock_state_moments([sol.drive for sol in solutions], states)
+    focks, states, solutions = zip(*inputs)
+    x_fock, x2_fock = fock_state_moments([sol.drive for sol in solutions], focks)
     sups = []
     for sol, state, x, x2 in zip(solutions, states, x_fock, x2_fock):
         x_h, x2_h = closed_form_moments(sol, state)

@@ -1,4 +1,4 @@
-"""Physical parameters, drive field models, and uniform time grids.
+"""Physical parameters, Gaussian states, drive field models, and time grids.
 
 Everything here is immutable value data; the functions are pure, so any
 number of workers may share these objects.
@@ -7,7 +7,7 @@ number of workers may share these objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -46,6 +46,28 @@ def ground_state_width(params: OscillatorParams) -> float:
     Its square is the position variance of the undriven ground state.
     """
     return math.sqrt(params.hbar / (2.0 * params.mass * params.omega0))
+
+
+@dataclass(frozen=True)
+class GaussianState:
+    """A Gaussian initial state: means q = <x>, p = <p>, variances var_x,
+    var_p, and cov_xp = <(xp + px)/2> - <x><p>."""
+
+    q: float
+    p: float
+    var_x: float
+    var_p: float
+    cov_xp: float
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValueError("a Gaussian state's means and covariance must be finite")
+
+    @classmethod
+    def coherent(cls, params: OscillatorParams, q0: float, v0: float = 0.0) -> "GaussianState":
+        """The coherent state at (q0, m v0), with the vacuum's covariance."""
+        m, w, hb = params.mass, params.omega0, params.hbar
+        return cls(q0, m * v0, hb / (2.0 * m * w), hb * m * w / 2.0, 0.0)
 
 
 @dataclass(frozen=True)

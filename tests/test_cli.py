@@ -539,7 +539,9 @@ n_fock = 256
 
 
 def test_truncated_coherent_state_exits_one(tmp_path, capsys):
+    # the truncation is the oracle's: with it off, n_fock sizes nothing
     text = set_key(set_key(TINY, "initial", "v0", "60.0"), "fock", "n_fock", "64")
+    text = set_key(text, "fock", "oracle", "true")
     assert cli.main(["run", str(write(tmp_path, text)), "--out", str(tmp_path / "o")]) == 1
     assert "n_fock" in one_error_line(capsys)
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 import picture_lab as pl
 from picture_lab import InitialConditions, TimeGrid, heisenberg
@@ -62,11 +63,53 @@ def test_fock_state_oracle_agrees_with_closed_form(natural):
     field = pl.FieldModel.monochromatic(1.0, 0.5)
     tg = TimeGrid(0.0, 5.0 * natural.period, 10_000)
     sol = pl.evolve_heisenberg(natural, field, tg)
-    ground = pl.ground_state_vector(64)
-    mean_x, mean_x2 = pl.fock_state_moments(sol.drive, ground)
-    x_h, x2_h = pl.closed_form_moments(sol, ground)
+    mean_x, mean_x2 = pl.fock_state_moments(sol.drive, pl.ground_state_vector(64))
+    x_h, x2_h = pl.closed_form_moments(sol, pl.GaussianState.coherent(natural, 0.0))
     assert np.max(np.abs(mean_x - x_h)) < 1e-8
     assert np.max(np.abs(mean_x2 - x2_h)) < 1e-8
+
+
+def _squeezed_displaced(params, n_fock, r, angle, q0, v0):
+    """D(alpha) S(r e^{i angle}) |0> in n_fock levels, by matrix
+    exponentials, and the GaussianState of its own moments."""
+    x_op, p_op = pl.build_ladder_operators(params, n_fock)
+    lower = np.diag(np.sqrt(np.arange(1, n_fock)), k=1).astype(complex)
+    raise_ = lower.conj().T
+    zeta = r * np.exp(1j * angle)
+    alpha = (math.sqrt(params.mass * params.omega0 / (2.0 * params.hbar)) * q0
+             + 1j * params.mass * v0 / math.sqrt(2.0 * params.mass * params.omega0 * params.hbar))
+    squeeze = expm(0.5 * (np.conj(zeta) * lower @ lower - zeta * raise_ @ raise_))
+    vec = expm(alpha * raise_ - np.conj(alpha) * lower) @ squeeze @ pl.ground_state_vector(n_fock)
+    xv, pv = x_op @ vec, p_op @ vec
+    mx, mp = float(np.vdot(vec, xv).real), float(np.vdot(vec, pv).real)
+    return vec, pl.GaussianState(mx, mp, float(np.vdot(xv, xv).real) - mx**2,
+                                 float(np.vdot(pv, pv).real) - mp**2,
+                                 float(np.vdot(xv, pv).real) - mx * mp)
+
+
+@pytest.mark.parametrize("r, angle", [(0.5, 0.0), (0.4, 1.1)])
+def test_closed_form_reads_a_squeezed_covariance(r, angle):
+    # no coherent state has a covariance other than the vacuum's, so only a
+    # squeezed state sees the triple's var_x, var_p and cov_xp terms: with
+    # the vacuum's covariance the triple is off by 0.61-0.86, and with
+    # cov_xp dropped by 0.40 at angle 1.1; the oracle reads the vector alone
+    s = pl.golden_scenarios()["driven"]
+    tg = TimeGrid(0.0, 2.0 * s.params.period, 2000)
+    sol = pl.evolve_heisenberg(s.params, s.field, tg)
+    vec, state = _squeezed_displaced(s.params, 96, r, angle, 1.0, 0.4)
+    if angle:
+        assert state.cov_xp == pytest.approx(-0.40, abs=0.01)
+    mean_x, mean_x2 = pl.fock_state_moments(sol.drive, vec)
+    x_h, x2_h = pl.closed_form_moments(sol, state)
+    assert np.max(np.abs(mean_x - x_h)) < 1e-9
+    assert np.max(np.abs(mean_x2 - x2_h)) < 1e-9
+
+
+def test_closed_form_rejects_a_state_below_the_uncertainty_bound(natural):
+    sol = pl.evolve_heisenberg(natural, pl.FieldModel.zero(), TimeGrid(0.0, 1.0, 100))
+    pl.closed_form_moments(sol, pl.GaussianState(0.0, 0.0, 0.25, 1.0, 0.0))
+    with pytest.raises(ValueError, match="uncertainty"):
+        pl.closed_form_moments(sol, pl.GaussianState(0.0, 0.0, 0.5, 1.0, 0.8))
 
 
 def test_ground_mean_follows_zero_ic_trajectory(natural):
@@ -85,7 +128,7 @@ def test_ground_moment_x2_values(natural):
     params = pl.OscillatorParams(charge=0.0)
     tg = TimeGrid(0.0, 2.0 * params.period, 2000)
     sol = pl.evolve_heisenberg(params, pl.FieldModel.zero(), tg)
-    _, x2 = pl.closed_form_moments(sol, pl.ground_state_vector(64))
+    _, x2 = pl.closed_form_moments(sol, pl.GaussianState.coherent(params, 0.0))
     for i in (0, 700, tg.n_steps):
         assert x2[i] == pytest.approx(0.5, abs=1e-12)
 
@@ -93,7 +136,7 @@ def test_ground_moment_x2_values(natural):
     field = pl.FieldModel.monochromatic(1.0, 0.5)
     tg2 = TimeGrid(0.0, math.pi, 2000)
     closed = pl.evolve_heisenberg(natural, field, tg2)
-    _, x2 = pl.closed_form_moments(closed, pl.ground_state_vector(64))
+    _, x2 = pl.closed_form_moments(closed, pl.GaussianState.coherent(natural, 0.0))
     expected = 0.5 + (4.0 / 3.0) ** 2
     assert x2[-1] == pytest.approx(expected, abs=1e-8)
     _, fock_x2 = pl.fock_state_moments(closed.drive, pl.ground_state_vector(64))
@@ -107,10 +150,11 @@ def test_ground_moment_x2_values(natural):
 
 
 def test_moment_n_refinement_stable(natural):
+    # the closed form has no basis: the oracle's moments must not see its size
     field = pl.FieldModel.monochromatic(1.0, 0.5)
     tg = TimeGrid(0.0, 2.0 * natural.period, 2000)
-    sol = pl.evolve_heisenberg(natural, field, tg)
-    series = [pl.closed_form_moments(sol, pl.ground_state_vector(n))[1] for n in (32, 64)]
+    drive = pl.build_drive_table(natural, field, tg)
+    series = [pl.fock_state_moments(drive, pl.ground_state_vector(n))[1] for n in (32, 64)]
     assert np.max(np.abs(series[0] - series[1])) < 1e-10
 
 
@@ -135,10 +179,9 @@ def test_truncation_guard_rejects_an_underflowing_basis(natural):
     # underflows to zero, so the coefficients must be normalised in log space
     with pytest.raises(pl.TruncationError, match="n_fock"):
         pl.coherent_state_vector(natural, 64, 0.0, 60.0)
-    # and a NaN state fails the tail guard instead of slipping past it
-    sol = pl.evolve_heisenberg(natural, pl.FieldModel.zero(), TimeGrid(0.0, 1.0, 100))
-    with pytest.raises(pl.TruncationError):
-        pl.closed_form_moments(sol, np.full(64, np.nan, dtype=complex))
+    # and a NaN state is rejected before it can reach the triple's moments
+    with pytest.raises(ValueError, match="finite"):
+        pl.GaussianState(*[np.nan] * 5)
 
 
 def test_step_too_coarse(natural):

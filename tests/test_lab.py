@@ -294,20 +294,50 @@ def test_damped_gradient4_run_agrees_with_heisenberg_and_classical():
     assert report.ehrenfest_sup < 1e-5
 
 
-def test_pictures_agree_on_a_moving_start():
-    # every golden starts at rest, where a coherent state's <xp + px> =
-    # 2 <x><p> is 0, so no golden sees the triple's a b <xp + px> term.
-    # The driven golden for 2 periods from q0 = 1, v0 = 0.4: the sups read
-    # 5.5e-7 and 2.4e-11, and both 0.40 with that term dropped from
-    # closed_form_moments
+def _driven_for_two_periods(name, q0, v0, **kwargs):
+    """The driven golden for 2 periods, 12 800 steps, from (q0, v0)."""
     golden = pl.golden_scenarios()["driven"]
     t0, dt = golden.time_grid.t0, golden.time_grid.dt
-    s = replace(golden, name="moving", ics=InitialConditions(1.0, 0.4),
-                time_grid=TimeGrid(t0, t0 + 12_800 * dt, 12_800))
+    s = replace(golden, name=name, ics=InitialConditions(q0, v0),
+                time_grid=TimeGrid(t0, t0 + 12_800 * dt, 12_800), **kwargs)
     assert s.periods == pytest.approx(2.0)
-    report = pl.run_equivalence(s)
+    return s
+
+
+def test_pictures_agree_on_a_moving_start():
+    # every golden starts at rest, so no golden sees the triple's b <p>
+    # term. From q0 = 1, v0 = 0.4: the sups read 5.5e-7 and 2.4e-11, and
+    # both 0.51 with that term dropped from closed_form_moments.  A
+    # coherent state's covariance is the vacuum's wherever it starts; the
+    # squeezed states of test_heisenberg.py test the covariance terms
+    report = pl.run_equivalence(_driven_for_two_periods("moving", 1.0, 0.4))
     assert report.sup_discrepancy < 1e-5
     assert report.oracle_moment_sup < 1e-9
+
+
+def test_the_oracle_catches_a_defect_in_its_own_initial_vector(monkeypatch):
+    # the triple reads the Gaussian state, not the oracle's Fock vector, so
+    # conjugating the vector's coefficients, which flips its momentum,
+    # moves the oracle sups alone: they read 0.80 and 0.83
+    def flipped(*args):
+        return np.conj(heisenberg.coherent_state_vector(*args))
+
+    monkeypatch.setattr(pl.lab, "coherent_state_vector", flipped)
+    report = pl.run_equivalence(_driven_for_two_periods("flipped", 1.0, 0.4))
+    assert report.sup_discrepancy < 1e-5
+    assert report.oracle_matrix_sup > 0.5
+    assert report.oracle_moment_sup > 0.5
+
+
+def test_n_fock_sizes_only_the_oracle():
+    # from q0 = 3 a coherent state leaves 2.3e-4 in the last two of 16
+    # levels: only the oracle, which reads that vector, may reject it
+    s = _driven_for_two_periods("wide", 3.0, 0.0, n_fock=16, fock_oracle=False)
+    report = pl.run_equivalence(s)
+    assert report.all_pass
+    assert report.ehrenfest_sup < 1e-5
+    with pytest.raises(pl.TruncationError, match="n_fock"):
+        pl.run_equivalence(replace(s, fock_oracle=True))
 
 
 def test_mismatched_ics_break_identification_but_not_equivalence():
