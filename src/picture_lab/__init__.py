@@ -1,11 +1,11 @@
 """Numerical laboratory for picture equivalence of a driven charged oscillator.
 
 The package simulates a 1-D charged harmonic oscillator driven by a
-classical electric field in both the Schrodinger picture (grid
-wavepacket, split-operator propagation) and the Heisenberg picture
-(truncated Fock-basis operator evolution), verifies that the two
-pictures yield identical position moments, and mechanically reproduces
-the flawed substitution that once suggested otherwise.
+classical electric field in both the Schrodinger picture (grid wavepacket,
+split-operator propagation) and the Heisenberg picture (the closed-form
+triple of x_H, checked by a Fock state-vector oracle), verifies that the
+two pictures yield identical position moments, and mechanically
+reproduces the flawed substitution that once suggested otherwise.
 """
 
 from .classical import (ClassicalTrajectory, DriveTable, InitialConditions,

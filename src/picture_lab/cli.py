@@ -9,7 +9,8 @@ every physical value is validated before any engine runs.  The bundled
 configs are the golden suite (golden_scenarios).  Exit codes: 0 all
 verdicts pass, 2 a verdict failed, 1 any other failure, reported by
 _fail.  The files a run or sweep writes, their columns and cell format
-are defined in serialize; the export_<kind> keys select from its ARTIFACTS.
+are defined in serialize; [run] has one export_<kind> key per kind of its
+ARTIFACTS, and RunConfig.exports holds the kinds a run writes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import functools
 import inspect
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .classical import InitialConditions
@@ -32,9 +33,6 @@ from .model import FIELD_KINDS, FieldModel, OscillatorParams, TimeGrid
 from .serialize import ARTIFACTS, SUMMARY_COLUMNS, write_artifact, write_csv
 
 BUNDLED_DIR = Path(__file__).parent / "configs"
-
-_BOOL_STRINGS = {"true": True, "yes": True, "1": True, "on": True,
-                 "false": False, "no": False, "0": False, "off": False}
 
 # section -> key -> type tag.  Defaults live only on the dataclasses the
 # keys are passed to; a key the file does not set is not passed on.
@@ -51,9 +49,7 @@ CONFIG_SCHEMA = {
     "fock": {"n_fock": "int", "oracle": "bool", "oracle_steps_per_period": "int"},
     "run": {"name": "str", "record_every": "int", "match_quantum_ics": "bool",
             "tol_equivalence": "float", "decay_threshold": "float",
-            "export_series": "bool", "export_report": "bool",
-            "export_trajectory": "bool", "export_snapshots": "bool",
-            "export_fock_moments": "bool", "verbosity": "int"},
+            **{f"export_{kind}": "bool" for kind in ARTIFACTS}, "verbosity": "int"},
 }
 
 SWEEP_AXES = ("e", "gamma", "dt", "n_points", "n_fock")
@@ -61,16 +57,10 @@ SWEEP_AXES = ("e", "gamma", "dt", "n_points", "n_fock")
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A scenario, the ARTIFACTS kinds its run writes, and how much it prints."""
     scenario: Scenario
-    export_series: bool = True
-    export_report: bool = True
-    export_trajectory: bool = False
-    export_snapshots: bool = False
-    export_fock_moments: bool = False
+    exports: frozenset = frozenset({"series", "report"})
     verbosity: int = 1
-
-
-_RUN_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"scenario"}
 
 
 def _convert(section, key, kind, raw):
@@ -83,7 +73,7 @@ def _convert(section, key, kind, raw):
                 raise ValueError("not an integer")
             return int(value)
         if kind == "bool":
-            flag = _BOOL_STRINGS.get(raw.strip().lower())
+            flag = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
             if flag is None:
                 raise ValueError("not a boolean")
             return flag
@@ -153,7 +143,7 @@ def load_config(path) -> RunConfig:
     ics = _build("[initial] ", InitialConditions, **cfg["initial"])
 
     # [time] keys other than the grid's go to Scenario, as do [grid], [fock]
-    # and the [run] keys that RunConfig does not take
+    # and the [run] keys other than exports and verbosity
     tsec = cfg["time"]
     t0 = tsec.pop("t0", 0.0)
     t1, periods = tsec.pop("t1", None), tsec.pop("periods", None)
@@ -162,7 +152,10 @@ def load_config(path) -> RunConfig:
     if (t1 is None) == (periods is None):
         raise ConfigInvalid("[time] exactly one of t1 or periods must be set")
     if t1 is None:
-        t1 = t0 + periods * params.period
+        span = periods * params.period
+        if not 0 < span < math.inf:
+            raise ConfigInvalid(f"[time] periods: must be > 0 with a finite span, got {periods!r}")
+        t1 = t0 + span
     grid = _build("[time] ", TimeGrid, t0, t1, tsec.pop("n_steps"))
 
     fock = cfg["fock"]
@@ -172,10 +165,12 @@ def load_config(path) -> RunConfig:
     name = rsec.pop("name", "") or Path(path).stem
     if "/" in name or "\\" in name:  # artifact paths are joined from the name
         raise ConfigInvalid(f"[run] name: must not contain '/' or '\\', got {name!r}")
-    run = {key: rsec.pop(key) for key in _RUN_CONFIG_KEYS & rsec.keys()}
+    exports = frozenset(kind for kind in ARTIFACTS
+                        if rsec.pop(f"export_{kind}", kind in RunConfig.exports))
+    verbosity = rsec.pop("verbosity", RunConfig.verbosity)
     scenario = _build("", Scenario, name=name, params=params, field=field, ics=ics,
                       time_grid=grid, **tsec, **cfg["grid"], **fock, **rsec)
-    return RunConfig(scenario=scenario, **run)
+    return RunConfig(scenario, exports, verbosity)
 
 
 def golden_scenarios(fock_oracle: bool = True) -> dict:
@@ -205,7 +200,7 @@ def _export(config: RunConfig, report, out_dir: Path):
     cache = {}  # the report's rendered cells, shared by its files
     try:
         for kind, (suffix, _) in ARTIFACTS.items():
-            if getattr(config, f"export_{kind}"):
+            if kind in config.exports:
                 write_artifact(report, kind, out_dir / f"{report.scenario.name}_{suffix}",
                                cache)
     except Exception as exc:

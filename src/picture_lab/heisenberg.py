@@ -253,9 +253,12 @@ def fock_state_moments(drive, state):
                          "the tables on one time grid with one mass, omega0 and hbar")
     batch, dim = len(states), len(states[0])
     n = time_grid.n_steps
-    x_op, _ = build_ladder_operators(params, dim)
-    above = np.append(np.diag(x_op, 1), 0.0)  # x chi = above chi[k+1] + below chi[k-1]
-    below = np.insert(np.diag(x_op, -1), 0, 0.0)
+    if dim < 16:
+        raise ValueError("n_fock must be at least 16")
+    sx = math.sqrt(params.hbar / (2.0 * params.mass * params.omega0))  # x = sx (a + a+)
+    offdiag = (sx * np.sqrt(np.arange(1, dim))).astype(complex)
+    # x chi = above chi[k+1] + below chi[k-1]
+    above, below = np.append(offdiag, 0.0), np.insert(offdiag, 0, 0.0)
     terms = _step_terms(above, below, params.omega0, time_grid.dt)
     forces = np.stack([d.values for d in drives], axis=-1) / params.hbar  # (2 n + 1, B)
     mean_x = np.empty((batch, n + 1))

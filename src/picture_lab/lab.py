@@ -1,7 +1,8 @@
 """Scenario runner and picture-equivalence diagnostics.
 
-A scenario drives all three engines on one shared time grid and collects
-their second-moment series.  The report then answers three questions:
+A scenario drives all three engines on its time grid (the Fock oracle on
+``Scenario.oracle_grid``) and collects their second-moment series.  The
+report then answers three questions:
 
 * do the two pictures agree, sup_t |<x^2>_S - <x^2>_H| below tolerance
   (they always should; this is the point of the exercise);
@@ -386,9 +387,9 @@ def free_limit_sweep(e_values, base: Scenario) -> list:
     """Run the base scenario across charge values; must include e = 0.
 
     The values run as one ``run_equivalence`` call, so their propagations
-    share one batch.  Verifies continuity of the second moment toward the
-    free value: the linear equation of motion makes the classical response
-    exactly proportional to e, so the moment excess scales as e^2.
+    share one batch.  It checks nothing: the linear equation of motion makes
+    the classical response exactly proportional to e, so the caller can
+    check that the moment excess over the free value scales as e^2.
     """
     e_values = list(e_values)
     if 0 not in e_values and 0.0 not in e_values:

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -168,8 +167,11 @@ def test_readme_schema_block_lists_every_config_key(tmp_path):
         for (section, key), raw in defaults.items():
             if re.search(rf"^{key} =", text, flags=re.M):
                 continue
-            attr = "fock_oracle" if key == "oracle" else key
-            value = next(getattr(o, attr) for o in sources if hasattr(o, attr))
+            if key.startswith("export_"):
+                value = key.removeprefix("export_") in config.exports
+            else:
+                attr = "fock_oracle" if key == "oracle" else key
+                value = next(getattr(o, attr) for o in sources if hasattr(o, attr))
             if raw == "config stem":
                 expected = path.stem
             elif raw.startswith("auto"):  # left unset: chosen at run time
@@ -250,13 +252,37 @@ def test_sweep_artifact_cells_keep_their_format(tmp_path):
 
 def test_artifact_table_matches_the_export_keys():
     kinds = set(serialize.ARTIFACTS)
-    assert kinds == {f.name.removeprefix("export_") for f in fields(cli.RunConfig)
-                     if f.name.startswith("export_")}
     assert kinds == {key.removeprefix("export_") for key in cli.CONFIG_SCHEMA["run"]
                      if key.startswith("export_")}
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     for suffix, _ in serialize.ARTIFACTS.values():
         assert f"`<name>_{suffix}`" in readme, suffix
+
+
+def written_kinds(tmp_path, text):
+    """The ARTIFACTS kinds whose files a run of config ``text`` writes."""
+    out = tmp_path / "out"
+    assert cli.main(["run", str(write(tmp_path, text)), "--out", str(out), "--quiet"]) == 0
+    names = {p.name for p in out.iterdir()} if out.exists() else set()
+    kinds = {kind for kind, (suffix, _) in serialize.ARTIFACTS.items()
+             if f"tiny_{suffix}" in names}
+    assert len(kinds) == len(names), names
+    return kinds
+
+
+@pytest.mark.parametrize("on", [True, False])
+@pytest.mark.parametrize("kind", serialize.ARTIFACTS)
+def test_each_export_key_switches_its_kind(tmp_path, kind, on):
+    # the other keys at their defaults: series and report on, the rest off
+    text = set_key(TINY, "run", f"export_{kind}", "true" if on else "false")
+    defaults = {"series", "report"}
+    assert written_kinds(tmp_path, text) == (defaults | {kind} if on else defaults - {kind})
+
+
+def test_both_default_kinds_off_write_no_artifact(tmp_path):
+    text = set_key(set_key(TINY, "run", "export_series", "false"),
+                   "run", "export_report", "false")
+    assert written_kinds(tmp_path, text) == set()
 
 
 def test_sweep_invalid_axis_rejected(tmp_path, capsys):
@@ -405,6 +431,11 @@ def one_error_line(capsys):
     ("field", "seed", "3"),
     ("run", "name", "../escaped"),
     ("run", "name", "..\\escaped"),
+    ("time", "periods", "0"),
+    ("time", "periods", "-1"),
+    ("time", "periods", "inf"),
+    ("time", "periods", "nan"),
+    ("time", "periods", "1e308"),  # finite, but its horizon overflows
     # section None: a sweep value only, no config key
     (None, "e", "abc"),
     (None, "gamma", "abc"),

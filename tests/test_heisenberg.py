@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,9 @@ def test_hermiticity_and_commutator(natural):
 def test_minimum_dimension_enforced(natural):
     with pytest.raises(ValueError):
         pl.build_ladder_operators(natural, 8)
+    drive = pl.build_drive_table(natural, pl.FieldModel.zero(), TimeGrid(0.0, 1.0, 100))
+    with pytest.raises(ValueError, match="at least 16"):
+        pl.fock_state_moments(drive, pl.ground_state_vector(8))
 
 
 def test_free_fock_state_mean_oscillates():
@@ -306,6 +310,31 @@ def test_band_products_match_the_dense_ladder_on_the_golden_fields(name):
     dense_x, dense_x2 = _dense_oracle(drive, state)
     np.testing.assert_allclose(mean_x, dense_x, rtol=0, atol=1e-13)
     np.testing.assert_allclose(mean_x2, dense_x2, rtol=0, atol=1e-13)
+
+
+def test_oracle_bands_are_the_dense_diagonals_without_the_dense_matrix(monkeypatch):
+    # a 2048-level basis: one dense N x N complex matrix alone is 64 MB
+    params, dim = pl.OscillatorParams(mass=1.3, omega0=0.7, hbar=0.9), 2048
+    drive = pl.build_drive_table(params, pl.FieldModel.monochromatic(0.1, 0.5),
+                                 TimeGrid(0.0, 1.0, 20))
+    seen = []
+    step_terms = heisenberg._step_terms
+    monkeypatch.setattr(heisenberg, "_step_terms",
+                        lambda above, below, *args: seen.append((above, below))
+                        or step_terms(above, below, *args))
+    tracemalloc.start()
+    try:
+        pl.fock_state_moments(drive, pl.ground_state_vector(dim))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # built from the dense ladder it peaked at ~270 MB; the bands take ~9 MB
+    assert peak < 32e6, peak
+    x_op, _ = pl.build_ladder_operators(params, dim)
+    (above, below), = seen
+    # bit for bit, signed zeros included
+    assert above.tobytes() == np.append(np.diag(x_op, 1), 0.0).tobytes()
+    assert below.tobytes() == np.insert(np.diag(x_op, -1), 0, 0.0).tobytes()
 
 
 def _kicked(params, tg, step):
