@@ -10,7 +10,9 @@ configs are the golden suite (golden_scenarios).  Exit codes: 0 all
 verdicts pass, 2 a verdict failed, 1 any other failure, reported by
 _fail.  The files a run or sweep writes, their columns and cell format
 are defined in serialize; [run] has one export_<kind> key per kind of its
-ARTIFACTS, and RunConfig.exports holds the kinds a run writes.
+ARTIFACTS, and RunConfig.exports holds the kinds a run writes.  SWEEP_AXES
+is the one table of sweep axes: each axis's type tag, by which _convert
+reads its values as it reads config values, and how a value sets it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
-import contextlib
-import functools
 import inspect
 import math
 import sys
@@ -52,9 +52,6 @@ CONFIG_SCHEMA = {
             **{f"export_{kind}": "bool" for kind in ARTIFACTS}, "verbosity": "int"},
 }
 
-SWEEP_AXES = ("e", "gamma", "dt", "n_points", "n_fock")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A scenario, the ARTIFACTS kinds its run writes, and how much it prints."""
@@ -63,26 +60,24 @@ class RunConfig:
     verbosity: int = 1
 
 
-def _convert(section, key, kind, raw):
-    try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            value = float(raw)
-            if value != int(value):
-                raise ValueError("not an integer")
-            return int(value)
-        if kind == "bool":
-            flag = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
-            if flag is None:
-                raise ValueError("not a boolean")
-            return flag
-        if kind == "floats":
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            return tuple(float(p) for p in parts)
-        return raw.strip()
-    except (ValueError, OverflowError) as exc:
-        raise ConfigInvalid(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from None
+def _convert(kind: str, raw: str):
+    """``raw`` read by the rule of type tag ``kind``, for config and sweep
+    values alike; raises ValueError."""
+    if kind == "float":
+        return float(raw)
+    if kind == "int":
+        value = float(raw)
+        if not value.is_integer():
+            raise ValueError("not an integer")
+        return int(value)
+    if kind == "bool":
+        flag = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
+        if flag is None:
+            raise ValueError("not a boolean")
+        return flag
+    if kind == "floats":
+        return tuple(float(p) for p in raw.replace(",", " ").split())
+    return raw.strip()
 
 
 def _read_config(path) -> dict:
@@ -105,7 +100,8 @@ def _read_config(path) -> dict:
         for key, raw in parser.items(section):
             if key not in schema:
                 raise ConfigInvalid(f"unknown key '{key}' in section [{section}]")
-            values[section][key] = _convert(section, key, schema[key], raw)
+            values[section][key] = _build(f"[{section}] {key}={raw.strip()}: ",
+                                          _convert, schema[key], raw)
     return values
 
 
@@ -152,10 +148,10 @@ def load_config(path) -> RunConfig:
     if (t1 is None) == (periods is None):
         raise ConfigInvalid("[time] exactly one of t1 or periods must be set")
     if t1 is None:
-        span = periods * params.period
-        if not 0 < span < math.inf:
-            raise ConfigInvalid(f"[time] periods: must be > 0 with a finite span, got {periods!r}")
-        t1 = t0 + span
+        t1 = t0 + periods * params.period
+        if not t0 < t1 < math.inf:  # a span that rounds away leaves t1 at t0
+            raise ConfigInvalid(f"[time] periods: must be > 0 and end the run at a finite "
+                                f"time after t0 = {t0!r}, got {periods!r}")
     grid = _build("[time] ", TimeGrid, t0, t1, tsec.pop("n_steps"))
 
     fock = cfg["fock"]
@@ -239,37 +235,22 @@ def run_command(config_path, out_dir=None, verbosity=None) -> int:
     return 0 if report.all_pass else 2
 
 
-def _axis_value(axis: str, raw: str):
-    """Parse one ``--values`` entry; raises ConfigInvalid naming axis and value."""
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigInvalid(f"sweep {axis}={raw.strip()}: not a number") from None
-    if axis in ("n_points", "n_fock"):
-        if not value.is_integer():
-            raise ConfigInvalid(f"sweep {axis}={raw.strip()}: needs an integer value")
-        return int(value)
-    return value
+def _with_dt(s: Scenario, dt: float) -> Scenario:
+    grid = s.time_grid
+    horizon = grid.t1 - grid.t0
+    if not (0 < dt <= horizon and math.isfinite(horizon / dt)):
+        raise ValueError(f"dt must be finite, > 0 and at most the horizon {horizon:g}")
+    return replace(s, time_grid=TimeGrid(grid.t0, grid.t1, int(round(horizon / dt))))
 
 
-def _apply_axis(config: RunConfig, axis: str, value: float) -> RunConfig:
-    s = config.scenario
-    if axis == "e":
-        s = replace(s, params=replace(s.params, charge=float(value)))
-    elif axis == "gamma":
-        s = replace(s, field=replace(s.field, gamma=float(value)))
-    elif axis == "dt":
-        grid = s.time_grid
-        horizon = grid.t1 - grid.t0
-        if not (0 < value <= horizon and math.isfinite(horizon / value)):
-            raise ValueError(f"dt must be finite, > 0 and at most the horizon {horizon:g}")
-        s = replace(s, time_grid=TimeGrid(grid.t0, grid.t1, int(round(horizon / value))))
-    elif axis == "n_points":
-        s = replace(s, n_points=int(value))
-    else:  # n_fock; sweep_command admits only SWEEP_AXES
-        s = replace(s, n_fock=int(value))
-    s = replace(s, name=f"{s.name}_{axis}={value:g}")
-    return replace(config, scenario=s)
+# sweep axis -> (type tag of its values, (scenario, value) -> swept scenario)
+SWEEP_AXES = {
+    "e": ("float", lambda s, v: replace(s, params=replace(s.params, charge=v))),
+    "gamma": ("float", lambda s, v: replace(s, field=replace(s.field, gamma=v))),
+    "dt": ("float", _with_dt),
+    "n_points": ("int", lambda s, v: replace(s, n_points=v)),
+    "n_fock": ("int", lambda s, v: replace(s, n_fock=v)),
+}
 
 
 def _sweep_entries(entries):
@@ -285,7 +266,8 @@ def _sweep_entries(entries):
 
 
 def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
-    for bad, message in ((axis not in SWEEP_AXES, f"axis must be one of {SWEEP_AXES}"),
+    for bad, message in ((axis not in SWEEP_AXES,
+                          f"axis must be one of {tuple(SWEEP_AXES)}"),
                          (not values, "no sweep values"),
                          (jobs < 1, f"--jobs must be at least 1, got {jobs}")):
         if bad:
@@ -293,17 +275,20 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
     try:
         base = load_config(resolve_config_path(config_path))
         out = Path(out_dir) if out_dir else Path(f"{base.scenario.name}_sweep_{axis}")
+        kind, swept = SWEEP_AXES[axis]
         entries, parsed, raws = [], [], {}
         for raw in values:
-            v = _axis_value(axis, raw)
+            prefix = f"sweep {axis}={raw.strip()}: "
+            v = _build(prefix, _convert, kind, raw)
             # the label names the entry's directory and scenario
             label = f"{axis}={v:g}"
             if label in raws:
                 raise ConfigInvalid(f"sweep {axis}: values {raws[label]} and {raw.strip()} "
                                     f"both label their entry {label}")
             raws[label] = raw.strip()
-            entry = _build(f"sweep {axis}={raw.strip()}: ", _apply_axis, base, axis, v)
-            entries.append((entry, out / label))
+            s = _build(prefix, swept, base.scenario, v)
+            entries.append((replace(base, scenario=replace(s, name=f"{s.name}_{label}")),
+                            out / label))
             parsed.append(v)
         values = parsed
 
@@ -311,17 +296,16 @@ def sweep_command(config_path, axis, values, out_dir=None, jobs=1) -> int:
         # call; the pool starts all its workers at the first submit: never
         # more than there are entries
         workers = min(jobs, len(entries))
-        shares = [entries[i::workers] for i in range(workers)]
+        if workers == 1:
+            shares = [_sweep_entries(entries)]
+        else:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(_sweep_entries, entries[i::workers])
+                           for i in range(workers)]
+                shares = [future.result() for future in futures]
         rows = [None] * len(entries)
-        with contextlib.ExitStack() as stack:
-            if workers > 1:
-                pool = stack.enter_context(
-                    concurrent.futures.ProcessPoolExecutor(max_workers=workers))
-                results = [pool.submit(_sweep_entries, share).result for share in shares]
-            else:
-                results = [functools.partial(_sweep_entries, share) for share in shares]
-            for i, result in enumerate(results):
-                rows[i::workers] = result()
+        for i, share in enumerate(shares):
+            rows[i::workers] = share
 
         # the value prints as a float on every axis, integer axes included
         headers = [header for header, _ in SUMMARY_COLUMNS]

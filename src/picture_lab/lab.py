@@ -57,32 +57,36 @@ class Scenario:
     splitting: str = "strang"
 
     def __post_init__(self):
-        n = self.n_points
-        fastest, dt_max = step_limit(self.params, self.field)
-        dt, oracle_dt = self.time_grid.dt, self.oracle_grid.dt
-        resolves = f"50 steps a period of the fastest angular frequency {fastest:.3g}"
-        checks = (
-            ("n_steps", dt <= dt_max,
-             f"must give the time grid a dt of at most {dt_max:.3g}, {resolves}, not {dt:.3g}"),
-            ("record_every", self.record_every >= 1, "must be at least 1"),
-            ("tol_equivalence", _positive(self.tol_equivalence), "must be finite and > 0"),
-            ("decay_threshold", _positive(self.decay_threshold), "must be finite and > 0"),
-            ("n_points", n is None or (n >= MIN_N_POINTS and n & (n - 1) == 0),
-             f"must be a power of two, at least {MIN_N_POINTS}"),
-            ("n_fock", self.n_fock >= 16, "must be at least 16"),
-            ("padding_sigmas", _positive(self.padding_sigmas), "must be finite and > 0"),
-            ("oracle_steps_per_period", self.oracle_steps_per_period >= 1,
-             "must be at least 1"),
-            ("oracle_steps_per_period", not self.fock_oracle or oracle_dt <= dt_max,
-             f"must give the oracle's grid a dt of at most {dt_max:.3g}, {resolves}, "
-             f"not {oracle_dt:.3g}"),
-            ("splitting", self.splitting in SPLITTINGS,
-             f"must be one of {', '.join(SPLITTINGS)}"),
-        )
-        for key, ok, rule in checks:
+        for key, ok, rule in self._checks():
             if not ok:
                 owner = self.time_grid if key == "n_steps" else self
                 raise ValueError(f"{key} {rule}, got {getattr(owner, key)!r}")
+
+    def _checks(self):
+        """(key, holds, rule) rows; each is reached only if those before it
+        hold, so the oracle grid is built from a finite step count."""
+        n = self.n_points
+        fastest, dt_max = step_limit(self.params, self.field)
+        dt = self.time_grid.dt
+        resolves = f"50 steps a period of the fastest angular frequency {fastest:.3g}"
+        yield ("n_steps", dt <= dt_max,
+               f"must give the time grid a dt of at most {dt_max:.3g}, {resolves}, not {dt:.3g}")
+        yield "record_every", self.record_every >= 1, "must be at least 1"
+        yield "tol_equivalence", _positive(self.tol_equivalence), "must be finite and > 0"
+        yield "decay_threshold", _positive(self.decay_threshold), "must be finite and > 0"
+        yield ("n_points", n is None or (n >= MIN_N_POINTS and n & (n - 1) == 0),
+               f"must be a power of two, at least {MIN_N_POINTS}")
+        yield "n_fock", self.n_fock >= 16, "must be at least 16"
+        yield "padding_sigmas", _positive(self.padding_sigmas), "must be finite and > 0"
+        yield "oracle_steps_per_period", self.oracle_steps_per_period >= 1, "must be at least 1"
+        yield ("oracle_steps_per_period",
+               math.isfinite(self.periods * self.oracle_steps_per_period),
+               "must give the oracle's grid a finite step count")
+        oracle_dt = self.oracle_grid.dt
+        yield ("oracle_steps_per_period", not self.fock_oracle or oracle_dt <= dt_max,
+               f"must give the oracle's grid a dt of at most {dt_max:.3g}, {resolves}, "
+               f"not {oracle_dt:.3g}")
+        yield "splitting", self.splitting in SPLITTINGS, f"must be one of {', '.join(SPLITTINGS)}"
 
     @property
     def periods(self) -> float:

@@ -165,8 +165,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
-            raise ValueError("t0 and t1 must be finite")
+        if not math.isfinite(self.t1 - self.t0):
+            raise ValueError("t0 and t1 must be finite, and so must t1 - t0")
         if self.t1 <= self.t0:
             raise ValueError("t1 must exceed t0")
         if self.n_steps < 1:

@@ -177,7 +177,7 @@ def test_readme_schema_block_lists_every_config_key(tmp_path):
             elif raw.startswith("auto"):  # left unset: chosen at run time
                 expected = None
             else:
-                expected = cli._convert(section, key, cli.CONFIG_SCHEMA[section][key], raw)
+                expected = cli._convert(cli.CONFIG_SCHEMA[section][key], raw)
             assert value == expected, f"[{section}] {key}: README {raw}, loaded {value!r}"
 
 
@@ -468,6 +468,46 @@ def test_invalid_scenario_value_rejected_before_engines(tmp_path, capsys, monkey
                          "--values", f"{GOOD_AXIS_VALUE[key]},{value}",
                          "--out", str(out)]) == 1
         assert f"{key}={value}" in one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("keys,named", [
+    ({"t0": "-1e308", "t1": "1e308"}, ("t0", "t1")),  # t1 - t0 overflows
+    ({"t1": "1e308"}, ("n_steps",)),
+    ({"periods": "1e300", "n_steps": "1e302", "oracle_steps_per_period": "1e10"},
+     ("oracle_steps_per_period",)),
+    # t0 + periods * period rounds back to t0
+    ({"t0": "1e300"}, ("periods", "t0")),
+    ({"t0": "-1e308"}, ("periods", "t0")),
+])
+def test_huge_horizon_names_a_key_the_file_sets(tmp_path, capsys, monkeypatch, keys, named):
+    monkeypatch.setattr(cli, "run_equivalence", lambda scenario: pytest.fail("ran"))
+    text = TINY.replace("periods = 1\n", "") if "t1" in keys else TINY
+    for key, value in keys.items():
+        text = set_key(text, "fock" if key.startswith("oracle") else "time", key, value)
+    out = tmp_path / "o"
+    assert cli.main(["run", str(write(tmp_path, text)), "--out", str(out)]) == 1
+    err = one_error_line(capsys)
+    assert all(key in err for key in named), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", ["32.5", "nan", "inf", "1e400", "abc"])
+def test_config_and_sweep_values_are_read_by_one_rule(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setattr(cli, "run_equivalence", lambda scenario: pytest.fail("ran"))
+    out = tmp_path / "o"
+    config = write(tmp_path, set_key(TINY, "fock", "n_fock", raw))
+    base = write(tmp_path, TINY, "base.cfg")
+    reasons = []
+    for args, prefix in (
+            (["run", str(config)], f"error: [fock] n_fock={raw}: "),
+            (["sweep", str(base), "--axis", "n_fock", "--values", f"64,{raw}"],
+             f"error: sweep n_fock={raw}: ")):
+        assert cli.main(args + ["--out", str(out)]) == 1
+        err = one_error_line(capsys)
+        assert err.startswith(prefix), err
+        reasons.append(err[len(prefix):])
+    assert reasons[0] == reasons[1]
     assert not out.exists()
 
 
