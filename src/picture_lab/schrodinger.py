@@ -55,7 +55,6 @@ SPLITTINGS = {"strang": ((0.5, 0.5), (1.0,), (0.0,)),
 
 #: the core signatures of numpy's pocketfft gufuncs (numpy >= 2.0)
 _GUFUNC_SIGNATURES = {"fft": "(n),()->(m)", "ifft": "(m),()->(n)"}
-_LAST_AXIS = [(-1,), (), (-1,)]
 
 
 def _copying_out(transform):
@@ -77,7 +76,10 @@ def _resolve_transforms(umath):
     where it cannot be imported.  Its gufuncs are what ``np.fft.fft`` and
     ``np.fft.ifft`` call underneath, with the factor 1 or 1/n; called
     directly they skip numpy's Python wrapper, about half the cost of a
-    call at 256 points, and give the same result bit for bit.  When
+    call at 256 points, and give the same result bit for bit.  Their core
+    axis is the last one by default, so they are called with no ``axes``,
+    which a gufunc would parse on every call, with ``out`` passed
+    positionally, and with their factors as 0-d arrays made once.  When
     ``umath`` is None or its ufuncs lack the expected signatures, the pair
     is ``np.fft.fft``/``ifft`` themselves, wrapped by ``_copying_out`` where
     they take no ``out``.
@@ -89,14 +91,18 @@ def _resolve_transforms(umath):
             return np.fft.fft, np.fft.ifft
         return _copying_out(np.fft.fft), _copying_out(np.fft.ifft)
 
-    # a fresh output unless one is given: the loop keeps a spectrum across steps
+    # the factors as 0-d arrays, which a Python number is converted to on
+    # every call; a fresh output unless one is given, as a gufunc cannot size it
+    one, inverse = np.array(1.0), {}
+
     def fft(a, out=None):
-        return fwd(a, 1, axes=_LAST_AXIS,
-                   out=np.empty(a.shape, complex) if out is None else out)
+        return fwd(a, one, np.empty(a.shape, complex) if out is None else out)
 
     def ifft(a, out=None):
-        return inv(a, 1 / a.shape[-1], axes=_LAST_AXIS,
-                   out=np.empty(a.shape, complex) if out is None else out)
+        n = a.shape[-1]
+        if n not in inverse:
+            inverse[n] = np.array(1 / n)
+        return inv(a, inverse[n], np.empty(a.shape, complex) if out is None else out)
 
     return fft, ifft
 
@@ -448,7 +454,11 @@ def propagate(drive, psi, time_grid: TimeGrid, record_every: int = 1,
     transforms into one row of two (block, B, N) buffers of
     ``_BLOCK_BYTES`` each, its spectrum and its staggered state, and
     reads its kick factors from one more such buffer per kick, built for
-    the whole block before it.  One vectorised pass per block transforms
+    the whole block before it.  Every transform of the loop writes into
+    an array made before it: a buffer row, taken from lists of row views
+    built once, or one of three (B, N) scratch arrays, which hold the
+    transforms between a step's kicks and the state that a record step
+    continues with.  One vectorised pass per block transforms
     the spectra of its record steps into their record states in one
     stacked call, takes their moments and peaks, and checks every
     buffered step's edge cells and bins; it names the first step, state
@@ -542,15 +552,16 @@ def propagate(drive, psi, time_grid: TimeGrid, record_every: int = 1,
         n_rec = int(np.searchsorted(rec_steps, first + count)) - first_rec
         recs = slice(first_rec, first_rec + n_rec)
         held = rec_steps[recs] - first
-        todo = held[rec_steps[recs] > 0]  # the initial state is given
-        if len(todo):
-            stags[todo] = ifft(spectra[todo] * tail)
+        held_spectra = spectra[held]
+        if first and len(held):  # the initial state (step 0) is given
+            stags[held] = ifft(held_spectra * tail)
         d = np.abs(stags[held]) ** 2
         norms[:, recs] = np.sqrt(dx * d.sum(axis=-1)).T
         mean_x[:, recs] = (dx * _row_dots(d, x)).T
         mean_x2[:, recs] = (dx * _row_dots(d, x2)).T
-        peaks = np.stack(((np.abs(spectra[held]) ** 2).max(axis=-1), d.max(axis=-1)),
-                         axis=-1)
+        # the largest modulus squared: rounding is monotone, so this is the
+        # largest square bit for bit, NaN included
+        peaks = np.stack((np.abs(held_spectra).max(axis=-1) ** 2, d.max(axis=-1)), axis=-1)
         levels = np.concatenate((allowed[None], np.sqrt(_BOUNDARY_DENSITY_LIMIT * peaks)))
         limits = levels[np.searchsorted(rec_steps[recs], steps, side="right")]
         # per state the two bins at +-k_max, then the two edge cells: the
@@ -572,25 +583,32 @@ def propagate(drive, psi, time_grid: TimeGrid, record_every: int = 1,
         allowed = levels[-1]
         first, first_rec = first + count, first_rec + n_rec
 
+    # the buffers' row views, built once; and (B, N) outputs for the
+    # transforms between a step's kicks and for the state that a record step
+    # continues with, as the block pass puts the record state in its row
+    spectrum_rows, stag_rows = list(spectra), list(stags)
+    kick_rows = [list(factors) for factors in kicks]
+    inner_spectrum, inner_stag, carry = (np.empty((batch, size), complex)
+                                         for _ in range(3))
     stags[0] = [state.psi for state, _ in rows]
     spectrum = fft(stags[0], out=spectra[0])
     # staggered state: leading kinetic factor applied, trailing one pending
-    stag = ifft(spectrum * lead)
+    stag = ifft(spectrum * lead, out=carry)
     settle(1)
     load(0)
     marks, next_rec = rec_steps.tolist(), 1
     for step in range(n):
         i = step % depth
         for j in range(last):
-            stag = ifft(fft(stag * kicks[j][i]) * joins[j])
-        spectrum = fft(stag * kicks[last][i], out=spectra[i])
+            stag = ifft(fft(stag * kick_rows[j][i], out=inner_spectrum) * joins[j],
+                        out=inner_stag)
+        spectrum = fft(stag * kick_rows[last][i], out=spectrum_rows[i])
         if marks[next_rec] == step + 1:
             next_rec += 1
             if step < n - 1:  # the last step is a record step
-                # a fresh array: the block pass puts the record state in row i
-                stag = ifft(spectrum * wrap)
+                stag = ifft(spectrum * wrap, out=carry)
         else:
-            stag = ifft(spectrum * wrap, out=stags[i])
+            stag = ifft(spectrum * wrap, out=stag_rows[i])
         if i == depth - 1 or step == n - 1:
             settle(i + 1)
             load(step + 1)

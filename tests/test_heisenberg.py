@@ -259,6 +259,21 @@ def test_batched_oracle_rows_equal_their_single_calls(batch):
         assert np.array_equal(mean_x2[b], alone_x2), b
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+def test_oracle_einsum_equals_np_einsum_bit_for_bit(monkeypatch, batch):
+    # the loop calls einsum's C function; np.einsum, its fallback, parses
+    # the same call in Python and must give the same bytes
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert heisenberg._einsum is not np.einsum
+    drives, states = _oracle_batch(batch)
+    if batch == 1:
+        drives, states = drives[0], states[0]
+    fast = pl.fock_state_moments(drives, states)
+    monkeypatch.setattr(heisenberg, "_einsum", np.einsum)
+    for got, want in zip(pl.fock_state_moments(drives, states), fast):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _dense_oracle(drive, state):
     """The oracle's RK4 loop with x_I(t) as dense products by the two
     triangles of x, the form that the band products replace, checking the

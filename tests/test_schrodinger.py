@@ -475,6 +475,64 @@ def test_transform_count(natural, monkeypatch, splitting, record_every, field):
     assert sum(calls) == 2 * len(kicks) * N_RUN + len(rec.times)
 
 
+@pytest.mark.parametrize("n_steps", [600, 1200])
+@pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("field", [DRIVE, pl.FieldModel.zero()], ids=["driven", "free"])
+def test_step_loop_allocates_no_transform_output(monkeypatch, n_steps, splitting, batch,
+                                                 record_every, field):
+    # every transform of a step writes into a buffer made before the loop;
+    # only the block pass's one stacked record transform takes a fresh output
+    fresh = []
+
+    def counting(transform):
+        def wrapper(a, out=None):
+            if out is None:
+                fresh.append(a.shape)
+            return transform(a, out=out)
+        return wrapper
+
+    monkeypatch.setattr(schrodinger, "_fft", counting(schrodinger._fft))
+    monkeypatch.setattr(schrodinger, "_ifft", counting(schrodinger._ifft))
+    states, params = _batch_inputs(batch)
+    tg = TimeGrid(0.0, 1.5, n_steps)
+    pl.propagate([pl.build_drive_table(p, field, tg) for p in params], states, tg,
+                 record_every=record_every, splitting=splitting)
+    depth = min(n_steps, max(1, schrodinger._BLOCK_BYTES // (16 * batch * 256)))
+    passes = 1 + math.ceil(n_steps / depth)  # the initial state's, then each block's
+    assert len(fresh) <= passes, len(fresh)
+    assert all(len(shape) == 3 for shape in fresh)  # stacked records, no (B, N) step
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectral_peak_is_the_largest_square_bit_for_bit(seed):
+    # the block pass squares the largest modulus, not every modulus: equal
+    # bit for bit as rounding is monotone, on any (L, B, N) stack of spectra
+    rng = np.random.default_rng(seed)
+    scales = np.array([0.0, 1e-160, 1e-310, 1.0, 1e150, 1e154, 1.4e154])
+    s = (rng.standard_normal((6, 3, 64)) * rng.choice(scales, (6, 3, 64))
+         + 1j * rng.standard_normal((6, 3, 64)) * rng.choice(scales, (6, 3, 64)))
+    s[0] = 0.0
+    s[1, 0] = -0.0
+    s[1, 1] = complex(-0.0, 0.0)
+    s[2, 0, 5] = 5e-324  # the smallest subnormal
+    s[2, 1, :] = complex(2.2e-308, -1e-320)
+    s[3, 0, 7] = complex(np.inf, 1.0)
+    s[3, 1, 9] = complex(1.0, -np.inf)
+    s[4, 0, 3] = complex(np.nan, 0.0)
+    s[4, 1, 60] = complex(np.inf, np.nan)  # |inf + nan i| is inf
+    s[4, 2, 1] = complex(0.0, np.nan)
+    s[5, 2, 2] = complex(np.nan, 1e154)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = np.abs(s).max(axis=-1) ** 2
+        want = (np.abs(s) ** 2).max(axis=-1)
+    assert got.shape == (6, 3) and got.tobytes() == want.tobytes()
+    assert np.isinf(got[3, :2]).all() and np.isinf(got[4, 1])
+    assert np.isnan(got[4, [0, 2]]).all() and np.isnan(got[5, 2])
+    assert got[0].tobytes() == bytes(24) and got[1, :2].tobytes() == bytes(16)  # never -0
+
+
 def _batch_inputs(batch, n_points=256):
     # different charges (0 among them: an undriven row in a driven batch),
     # reaches and so half-widths, and initial states
