@@ -256,12 +256,14 @@ SWEEP_AXES = {
 def _sweep_entries(entries):
     """Run sweep entries as one call of ``run_equivalence``, which batches
     those that share a time grid, and export them; returns their summary
-    rows by column name."""
+    rows by column name, each with its run's ``norm_error_max``, which the
+    dt orders read and the summary does not hold."""
     reports = run_equivalence([config.scenario for config, _ in entries])
     rows = []
     for (config, out_dir), report in zip(entries, reports):
         _export(config, report, Path(out_dir))
         rows.append({header: column(report) for header, column in SUMMARY_COLUMNS})
+        rows[-1]["norm_error_max"] = report.norm_error_max
     return rows
 
 
@@ -328,13 +330,18 @@ def _print_dt_orders(values, rows):
     """Observed orders fitted to the successive endpoint differences.
 
     A difference below sqrt(n_steps of the finer run) ulps of its endpoint
-    is roundoff, not truncation error, and is left out of the fit.
+    is roundoff, not truncation error, and is left out of the fit.  So is a
+    split-step difference below 2 (eps_1 + eps_2) |<x^2>|, eps being each
+    run's norm drift: a moment of a state whose norm is 1 + eps is off by
+    2 eps of itself.
     """
     order = sorted(range(len(values)), key=lambda i: -values[i])
-    for label, key in (("classical trajectory", "q_c_final"),
-                       ("split-step <x^2>", "x2_s_final")):
+    for label, key, drifts in (("classical trajectory", "q_c_final", False),
+                               ("split-step <x^2>", "x2_s_final", True)):
         pairs = [(rows[i]["dt"], abs(rows[i][key] - rows[j][key]),
-                  math.sqrt(rows[j]["n_steps"]) * math.ulp(rows[j][key]))
+                  max(math.sqrt(rows[j]["n_steps"]) * math.ulp(rows[j][key]),
+                      drifts * 2.0 * (rows[i]["norm_error_max"] + rows[j]["norm_error_max"])
+                      * abs(rows[j][key])))
                  for i, j in zip(order, order[1:])]
         pairs = [(dt, diff) for dt, diff, roundoff in pairs if diff > roundoff]
         if len(pairs) >= 2:

@@ -4,9 +4,11 @@ Holds the oscillator ground state and its displaced (coherent) form on a
 uniform position grid, evaluates position moments by grid quadrature,
 and propagates states by split-operator steps: the second-order Strang
 step, kinetic-potential-kinetic with any time-dependent drive evaluated
-at the half step, or Chin's fourth-order force-gradient step, two kicks
-between three kinetic factors, each kick carrying the double commutator
-[V, [T, V]] = (hbar^2/m) V'^2, which is exact for this potential.
+at the half step; the same step with the oscillator's exact shear times,
+which has no time error without a drive; or Chin's fourth-order
+force-gradient step, two kicks between three kinetic factors, each kick
+carrying the double commutator [V, [T, V]] = (hbar^2/m) V'^2, which is
+exact for this potential.
 
 The exact solution of the linearly driven problem is the ground state
 displaced along the classical trajectory q_c(t), momentum-boosted by
@@ -47,11 +49,23 @@ _A1 = 0.5 * (1.0 - 1.0 / math.sqrt(3.0))
 _G4 = (2.0 - math.sqrt(3.0)) / 48.0
 #: step factorisations K(c0) V(d1) K(c1) ... V(ds) K(cs) as (c, d, g): the
 #: kinetic coefficients, the kick coefficients, and each kick's
-#: force-gradient coefficient.  "gradient4" is scheme 4B of S. A. Chin,
+#: force-gradient coefficient; each kick takes the drive at offset
+#: c0 + ... + c_{j-1} of the step.  "gradient4" is scheme 4B of S. A. Chin,
 #: Phys. Lett. A 226, 344 (1997); S. A. Chin and C. R. Chen, J. Chem.
-#: Phys. 114, 7338 (2001) for the split-operator method.
+#: Phys. 114, 7338 (2001) for the split-operator method.  "rotation" is
+#: Strang's row with the oscillator's shear times (``_factor_times``).
 SPLITTINGS = {"strang": ((0.5, 0.5), (1.0,), (0.0,)),
-              "gradient4": ((_A1, 1.0 / math.sqrt(3.0), _A1), (0.5, 0.5), (_G4, _G4))}
+              "gradient4": ((_A1, 1.0 / math.sqrt(3.0), _A1), (0.5, 0.5), (_G4, _G4)),
+              "rotation": ((0.5, 0.5), (1.0,), (0.0,))}
+#: rows whose kinetic factors last tan(c theta)/omega0 and whose kicks last
+#: sin(d theta)/omega0, theta = omega0 dt, in place of c dt and d dt: a turn
+#: of phase space by theta is exactly three shears (A. W. Paeth, Graphics
+#: Interface '86, 77), and the metaplectic representation carries that over
+#: to the quantum factors, phase included (R. G. Littlejohn, Phys. Rep. 138,
+#: 193 (1986)).  So Strang's row with these times steps the undriven
+#: oscillator exactly, and a constant force too, as its kick scales the
+#: drive term by the same time; a varying drive leaves second order.
+_SHEAR_ROWS = {"rotation"}
 
 #: the core signatures of numpy's pocketfft gufuncs (numpy >= 2.0)
 _GUFUNC_SIGNATURES = {"fft": "(n),()->(m)", "ifft": "(m),()->(n)"}
@@ -329,11 +343,28 @@ def _kick_forces(drive, splitting):
     return drive.stage_values([sum(c[:j + 1]) for j in range(len(d))])
 
 
-def _longest_factor(splitting):
-    """Largest |coefficient| of any factor of a step: every kick, every
-    inner kinetic factor, and the kinetic factor merged across steps."""
-    c, d, _ = SPLITTINGS[splitting]
-    return max(abs(a) for a in (*d, *c[1:-1], c[-1] + c[0]))
+def _factor_times(splitting, omega0, dt):
+    """How long each factor of a step lasts: the kinetic factors' times, and
+    the kicks' times, each kick's weight in its force-gradient term included.
+
+    These are c_j dt and (d_j - 2 g_j (omega0 dt)^2) dt, or for the rows
+    of ``_SHEAR_ROWS`` the shear times tan(c_j theta)/omega0 and
+    sin(d_j theta)/omega0 with theta = omega0 dt.
+    """
+    c, d, g = SPLITTINGS[splitting]
+    if splitting in _SHEAR_ROWS:
+        theta = omega0 * dt
+        return ([math.tan(cj * theta) / omega0 for cj in c],
+                [math.sin(dj * theta) / omega0 for dj in d])
+    return ([cj * dt for cj in c],
+            [(dj - 2.0 * gj * (omega0 * dt) ** 2) * dt for dj, gj in zip(d, g)])
+
+
+def _longest_factor(splitting, omega0, dt):
+    """Longest |time| of any factor of a step: every kick, every inner
+    kinetic factor, and the kinetic factor merged across steps."""
+    kin, kicks = _factor_times(splitting, omega0, dt)
+    return max(abs(a) for a in (*kicks, *kin[1:-1], kin[-1] + kin[0]))
 
 
 def _check_step_scale(params, center, forces, longest_step, step):
@@ -362,7 +393,7 @@ def check_path_step(drive: DriveTable, path: np.ndarray, splitting: str):
     """
     step = int(np.argmax(np.abs(path)))
     _check_step_scale(drive.params, float(path[step]), _kick_forces(drive, splitting),
-                      _longest_factor(splitting) * drive.grid.dt, step)
+                      _longest_factor(splitting, drive.params.omega0, drive.grid.dt), step)
 
 
 def _row_factors(psi, drive, splitting):
@@ -373,21 +404,21 @@ def _row_factors(psi, drive, splitting):
     and the drive's per unit F), each a list over the step's factors, the
     drive at every kick, and the global phase of the kicks' F^2 terms.
     """
-    c, d, g = SPLITTINGS[splitting]
+    g = SPLITTINGS[splitting][2]
     params = drive.params
     grid, dt, hb = psi.grid, drive.grid.dt, params.hbar
     forces = _kick_forces(drive, splitting)
     _check_step_scale(params, grid.dx * float(np.dot(grid.x, psi.density())), forces,
-                      _longest_factor(splitting) * dt, 0)
+                      _longest_factor(splitting, params.omega0, dt), 0)
 
     x = grid.x
-    kin = [np.exp(-1j * hb * grid.k**2 * (cj * dt) / (2.0 * params.mass)) for cj in c]
     # V'^2 = m^2 omega0^4 x^2 - 2 m omega0^2 F x + F^2: the gradient term
-    # rescales each kick's weight (exactly d where g = 0) and leaves the F^2 phase
-    weights = [dj - 2.0 * gj * (params.omega0 * dt) ** 2 for dj, gj in zip(d, g)]
-    pot_exp = [-1j * (0.5 * params.mass * params.omega0**2 * x**2) * (w * dt) / hb
-               for w in weights]
-    drive_exp = [(1j * w * dt / hb) * x for w in weights]
+    # rescales each kick's time (exactly d dt where g = 0) and leaves the F^2 phase
+    kin_times, kick_times = _factor_times(splitting, params.omega0, dt)
+    kin = [np.exp(-1j * hb * grid.k**2 * tau / (2.0 * params.mass)) for tau in kin_times]
+    pot_exp = [-1j * (0.5 * params.mass * params.omega0**2 * x**2) * tau / hb
+               for tau in kick_times]
+    drive_exp = [(1j * tau / hb) * x for tau in kick_times]
     phase = dt**3 / (hb * params.mass) * float(np.sum(forces**2 * g))
     return kin, pot_exp, drive_exp, forces, phase
 
@@ -424,9 +455,13 @@ def propagate(drive, psi, time_grid: TimeGrid, record_every: int = 1,
     V = m omega0^2 x^2/2 - F x takes the drive at the kick's offset
     c0 + ... + c_{j-1}.  The kinetic factors that meet at a step boundary
     are merged into one between records.  "strang" (second order) is
-    K(dt/2) V(dt) K(dt/2); "gradient4" is Chin's force-gradient scheme 4B
-    (fourth order, two kicks, all coefficients positive).  Norm is
-    preserved up to roundoff either way.
+    K(dt/2) V(dt) K(dt/2); "rotation" is K(tan(theta/2)/omega0)
+    V(sin theta/omega0) K(tan(theta/2)/omega0), theta = omega0 dt, exact
+    for the undriven oscillator and under a constant force, and second
+    order under a varying one; "gradient4" is Chin's force-gradient
+    scheme 4B (fourth order, two kicks, all coefficients positive).  Every
+    factor's time comes from ``_factor_times``.  Norm is preserved up to
+    roundoff either way.
 
     Each kick is one exponential of the full potential (Feit, Fleck and
     Steiger, J. Comput. Phys. 47, 412 (1982)); without a drive in any
@@ -465,8 +500,8 @@ def propagate(drive, psi, time_grid: TimeGrid, record_every: int = 1,
     and edge that a check after every step would, with the same edge
     fraction.  Every state, moment and message equals that of a loop
     doing all this per step, bit for bit.  StepTooCoarse is raised if the
-    longest factor of the step (the largest |coefficient| of any kick,
-    inner kinetic factor or merged kinetic factor, times dt) fails the
+    longest factor of the step (the longest |time| of any kick, inner
+    kinetic factor or merged kinetic factor) fails the
     energy-scale heuristic for the initial state only: a direct caller
     applies ``check_path_step`` with the same table along the path of the
     mean, as ``run_equivalence`` does.  Every guard, and every moment, is

@@ -136,6 +136,17 @@ def test_criterion_8f_gradient4_split_step_at_roundoff(natural):
                   "on the 8b setup", ok, detail)
 
 
+def test_criterion_8g_free_golden_at_roundoff(golden_reports):
+    # the free golden's rotation step has no time error on the undriven
+    # oscillator, so its moment sits at the roundoff of its norm drift
+    rep = golden_reports["free"]
+    dev = float(np.max(np.abs(rep.x2_s - 0.5)))
+    ok = rep.scenario.splitting == "rotation" and rep.sup_discrepancy < 1e-11 and dev < 1e-11
+    verdict("8g", "free golden (rotation step) at roundoff: sup |<x^2>_S - <x^2>_H| "
+                  "and max |<x^2>_S - 0.5| below 1e-11", ok,
+            f"sup={rep.sup_discrepancy:.2e} dev={dev:.2e}")
+
+
 def test_criterion_8c_fock_truncation_stable(natural):
     field = pl.FieldModel.monochromatic(1.0, 0.5)
     tg = TimeGrid(0.0, 2.0 * natural.period, 2000)

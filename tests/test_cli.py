@@ -230,6 +230,21 @@ def test_sweep_dt_axis_reports_orders(tmp_path, capsys):
     assert order and 3.5 <= float(order.group(1)) <= 4.5, text
 
 
+def test_sweep_dt_axis_fits_no_order_to_norm_roundoff(tmp_path, capsys):
+    # the free golden's rotation step has no time error: its endpoint
+    # differences (~1e-12) clear the sqrt(n) ulp floor but sit below the
+    # 2 (eps_1 + eps_2) <x^2> that the runs' norm drifts put on the moment
+    out = tmp_path / "free"
+    code = cli.main(["sweep", "free", "--axis", "dt", "--values", "0.003,0.0015,0.00075",
+                     "--out", str(out)])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert "split-step" not in text, text
+    # the norm drift the fit reads is no summary column
+    header = (out / "sweep_summary.csv").read_text().splitlines()[0]
+    assert header.split(",") == ["axis", "value", *(h for h, _ in serialize.SUMMARY_COLUMNS)]
+
+
 def test_sweep_artifact_cells_keep_their_format(tmp_path):
     out = tmp_path / "sweep"
     assert cli.main(["sweep", str(write(tmp_path, TINY)), "--axis", "e",

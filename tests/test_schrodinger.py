@@ -390,6 +390,91 @@ def test_gradient4_guard_applies_to_longest_factor(natural):
                      splitting="gradient4")
 
 
+def _moving_coherent_run(free_params, splitting, n):
+    # one period from (1.5, 0.7), a record every tenth of it
+    tg = TimeGrid(0.0, free_params.period, n)
+    traj = pl.solve_trajectory(free_params, pl.FieldModel.zero(),
+                               InitialConditions(1.5, 0.7), tg)
+    pgrid = pl.PositionGrid.for_state(free_params, float(np.max(np.abs(traj.q))),
+                                      max_momentum=float(np.max(np.abs(traj.qdot))))
+    psi0 = pl.displaced_state(free_params, pgrid, 1.5, 0.7)
+    rec = pl.propagate(pl.build_drive_table(free_params, pl.FieldModel.zero(), tg), psi0,
+                       tg, record_every=n // 10, splitting=splitting)
+    exact = [pl.expectation_x2(pl.exact_state(free_params, pgrid, traj, int(k)))
+             for k in rec.steps]
+    # a period of the oscillator is exp(-i pi) times the identity, global
+    # phase included
+    phase = abs(float(np.angle(-rec.psi.overlap(psi0))))
+    return float(np.max(np.abs(rec.mean_x2 - exact))), phase
+
+
+@pytest.mark.parametrize("n", [3000, 6000])
+def test_rotation_step_is_exact_when_undriven(free_params, n):
+    # its shear times turn phase space by exactly omega0 dt a step, where
+    # Strang's leave an O(dt^2) breathing of the width and a phase error
+    moment, phase = _moving_coherent_run(free_params, "rotation", n)
+    assert moment <= 1e-11 and phase <= 1e-12, (moment, phase)
+    moment, phase = _moving_coherent_run(free_params, "strang", n)
+    assert moment > 1e-11 and phase > 1e-12, (moment, phase)
+
+
+@pytest.mark.parametrize("splitting", ["rotation", "strang"])
+def test_rotation_step_is_exact_under_a_constant_force(natural, splitting):
+    # the kick scales the drive term by the oscillator's shear time too, so
+    # the step turns phase space about the shifted centre F/m omega0^2
+    field = pl.FieldModel.monochromatic(0.5, 0.0)
+    tg = TimeGrid(0.0, 1.3 * natural.period, 3000)
+    traj = pl.solve_trajectory(natural, field, InitialConditions(0.3, 0.4), tg)
+    pgrid = pl.PositionGrid.for_state(natural, float(np.max(np.abs(traj.q))),
+                                      max_momentum=float(np.max(np.abs(traj.qdot))))
+    rec = pl.propagate(pl.build_drive_table(natural, field, tg),
+                       pl.displaced_state(natural, pgrid, 0.3, 0.4), tg, record_every=10,
+                       splitting=splitting)
+    q = traj.q[rec.steps]
+    err = max(np.max(np.abs(rec.mean_x - q)), np.max(np.abs(rec.mean_x2 - 0.5 - q**2)))
+    assert (err <= 1e-11) == (splitting == "rotation"), err
+
+
+def test_rotation_step_is_second_order_under_a_drive_and_beats_strang(natural):
+    # the 8b drive: a varying force leaves second order, with a smaller constant
+    field = pl.FieldModel.monochromatic(1.0, 0.5)
+    errors = {"rotation": [], "strang": []}
+    dts = []
+    for n in (3000, 6000):
+        tg = TimeGrid(0.0, natural.period, n)
+        traj = pl.solve_trajectory(natural, field, InitialConditions(0.0, 0.0), tg)
+        pgrid = pl.PositionGrid.for_state(natural, float(np.max(np.abs(traj.q))))
+        for splitting, series in errors.items():
+            rec = pl.propagate(pl.build_drive_table(natural, field, tg),
+                               pl.ground_state(natural, pgrid), tg, record_every=n // 100,
+                               splitting=splitting)
+            exact = 0.5 + (4.0 / 3.0) ** 2 * (np.cos(0.5 * rec.times)
+                                              - np.cos(rec.times)) ** 2
+            series.append(float(np.max(np.abs(rec.mean_x2 - exact))))
+        dts.append(tg.dt)
+    assert 1.9 <= pl.observed_order(dts, errors["rotation"]) <= 2.1
+    assert all(r < s for r, s in zip(errors["rotation"], errors["strang"])), errors
+
+
+def test_rotation_guard_trips_where_strangs_does(natural):
+    # its longest factor is the merged drift 2 tan(theta/2)/omega0, a little
+    # over dt: at 2046 steps a period both trip, at 2047 both pass
+    field = pl.FieldModel.monochromatic(1.0, 0.5)
+    psi = pl.ground_state(natural, pl.PositionGrid.for_state(natural, 4.0 / 3.0 * 2.0))
+    for n in (2046, 2047):
+        tg = TimeGrid(0.0, natural.period, n)
+        drift = 2.0 * math.tan(0.5 * natural.omega0 * tg.dt) / natural.omega0
+        assert schrodinger._longest_factor("rotation", natural.omega0, tg.dt) == drift
+        for splitting in ("strang", "rotation"):
+            table = pl.build_drive_table(natural, field, tg)
+            if n == 2046:
+                sub_step = drift if splitting == "rotation" else tg.dt
+                with pytest.raises(pl.StepTooCoarse, match=f"^sub-step {sub_step:.3g} "):
+                    pl.propagate(table, psi, tg, record_every=n, splitting=splitting)
+            else:
+                pl.propagate(table, psi, tg, record_every=n, splitting=splitting)
+
+
 def test_propagate_rejects_unknown_splitting(natural):
     psi = pl.ground_state(natural, pl.PositionGrid.for_state(natural, 0.0))
     tg = TimeGrid(0.0, 1.0, 1000)
@@ -687,7 +772,7 @@ def test_recorded_moments_are_the_per_state_quadratures(natural, splitting):
 
 #: tracemalloc peaks of propagate on the test below, with the guards checked
 #: and the moments taken after every step
-PER_STEP_PEAK = {"strang": 2.22e6, "gradient4": 3.17e6}
+PER_STEP_PEAK = {"strang": 2.22e6, "gradient4": 3.17e6, "rotation": 2.22e6}
 
 
 @pytest.mark.parametrize("splitting", sorted(pl.SPLITTINGS))
