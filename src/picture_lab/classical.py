@@ -287,46 +287,7 @@ class DriveTable:
     grid: TimeGrid
     values: np.ndarray  # length 2 n_steps + 1
     params: OscillatorParams
-    field: FieldModel
     reference: ClassicalTrajectory | None = None  # on grid.refined(2); None if gamma = 0
-
-    def stage_values(self, offsets) -> np.ndarray:
-        """F at t0 + (i + c) dt for every step i and offset c in [0, 1].
-
-        Returns shape (n_steps, len(offsets)).  Offsets on the half-step
-        lattice (c = 0, 1/2, 1) read the table itself.  Any other offset
-        evaluates e E(t) in closed form and, for gamma > 0, takes the
-        reference velocity by cubic Hermite interpolation between its
-        samples, with qdd from the equation of motion: O(dt^4), the order
-        of the RK4 reference itself.
-        """
-        n = self.grid.n_steps
-        columns = []
-        for c in offsets:
-            u = 2.0 * c
-            if u.is_integer():
-                columns.append(self.values[int(u):int(u) + 2 * n:2])
-            else:
-                columns.append(self._between_samples(u))
-        return np.stack(columns, axis=1)
-
-    def _between_samples(self, u: float) -> np.ndarray:
-        """F at half-lattice position 2 i + u, for u not an integer."""
-        grid, params = self.grid, self.params
-        n = grid.n_steps
-        times = grid.t0 + grid.dt * (np.arange(n) + 0.5 * u)
-        force = params.charge * evaluate_field(self.field, times)
-        if self.field.gamma == 0:
-            return force
-        # reference sample j sits at half-lattice position j
-        j = 2 * np.arange(n) + int(u)
-        s = u - int(u)
-        h = 0.5 * grid.dt
-        qdot = self.reference.qdot
-        qddot = self.values / params.mass - params.omega0**2 * self.reference.q
-        vel = ((2 * s**3 - 3 * s**2 + 1) * qdot[j] + (s**3 - 2 * s**2 + s) * h * qddot[j]
-               + (3 * s**2 - 2 * s**3) * qdot[j + 1] + (s**3 - s**2) * h * qddot[j + 1])
-        return force - params.mass * self.field.gamma * vel
 
 
 def build_drive_table(params: OscillatorParams, field: FieldModel, grid: TimeGrid,
@@ -352,7 +313,7 @@ def build_drive_table(params: OscillatorParams, field: FieldModel, grid: TimeGri
     if not np.isfinite(force).all():
         raise NonFiniteState("drive force overflowed; check drive amplitude and charge")
     return DriveTable(grid=grid, values=np.asarray(force, dtype=float), params=params,
-                      field=field, reference=reference)
+                      reference=reference)
 
 
 def integrate_forced(drive: DriveTable) -> ClassicalTrajectory:

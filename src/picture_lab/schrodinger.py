@@ -5,10 +5,9 @@ uniform position grid, evaluates position moments by grid quadrature,
 and propagates states by split-operator steps: the second-order Strang
 step, kinetic-potential-kinetic with any time-dependent drive evaluated
 at the half step; the same step with the oscillator's exact shear times,
-which has no time error without a drive; or Chin's fourth-order
-force-gradient step, two kicks between three kinetic factors, each kick
-carrying the double commutator [V, [T, V]] = (hbar^2/m) V'^2, which is
-exact for this potential.
+which has no time error without a drive; or two such exact half-turns,
+whose kicks and global phase follow the exact flow of the drive's
+quadratic through each step's three table samples.
 
 The exact solution of the linearly driven problem is the ground state
 displaced along the classical trajectory q_c(t), momentum-boosted by
@@ -22,8 +21,9 @@ from __future__ import annotations
 
 import inspect
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -45,27 +45,82 @@ _BOUNDARY_DENSITY_LIMIT = 1e-10  # fraction of peak density tolerated at the edg
 #: calls cost some 150 us, so a block of (3, 64) stacks holds 42 steps
 _BLOCK_BYTES = 1 << 17
 
-_A1 = 0.5 * (1.0 - 1.0 / math.sqrt(3.0))
-_G4 = (2.0 - math.sqrt(3.0)) / 48.0
-#: step factorisations K(c0) V(d1) K(c1) ... V(ds) K(cs) as (c, d, g): the
-#: kinetic coefficients, the kick coefficients, and each kick's
-#: force-gradient coefficient; each kick takes the drive at offset
-#: c0 + ... + c_{j-1} of the step.  "gradient4" is scheme 4B of S. A. Chin,
-#: Phys. Lett. A 226, 344 (1997); S. A. Chin and C. R. Chen, J. Chem.
-#: Phys. 114, 7338 (2001) for the split-operator method.  "rotation" is
-#: Strang's row with the oscillator's shear times (``_factor_times``).
-SPLITTINGS = {"strang": ((0.5, 0.5), (1.0,), (0.0,)),
-              "gradient4": ((_A1, 1.0 / math.sqrt(3.0), _A1), (0.5, 0.5), (_G4, _G4)),
-              "rotation": ((0.5, 0.5), (1.0,), (0.0,))}
-#: rows whose kinetic factors last tan(c theta)/omega0 and whose kicks last
-#: sin(d theta)/omega0, theta = omega0 dt, in place of c dt and d dt: a turn
-#: of phase space by theta is exactly three shears (A. W. Paeth, Graphics
-#: Interface '86, 77), and the metaplectic representation carries that over
-#: to the quantum factors, phase included (R. G. Littlejohn, Phys. Rep. 138,
-#: 193 (1986)).  So Strang's row with these times steps the undriven
-#: oscillator exactly, and a constant force too, as its kick scales the
-#: drive term by the same time; a varying drive leaves second order.
-_SHEAR_ROWS = {"rotation"}
+#: one step K(a_0) V_1 K(a_1) ... V_s K(a_s) of a splitting at one (omega0, dt),
+#: K(a) = exp(-i a p^2 / 2m hbar), V_j = exp(-i b_j (m omega0^2 x^2 / 2 - F_j x) / hbar):
+#: the times a and b, each kick's weights on the step's table samples f = (F(t),
+#: F(t + dt/2), F(t + dt)), summing to F_j, and None or the phase form Q, f^T Q f / m hbar
+StepRow = namedtuple("StepRow", "kinetic kicks weights phase", defaults=(None,))
+#: Strang's kick takes the drive at the midpoint sample
+_MIDPOINT = ((0.0, 1.0, 0.0),)
+
+
+def _strang(omega0, dt):
+    """K(dt/2) V(dt) K(dt/2), second order."""
+    return StepRow((0.5 * dt, 0.5 * dt), (dt,), _MIDPOINT)
+
+
+def _rotation(omega0, dt):
+    """Strang's row with the oscillator's shear times: a turn of phase space
+    by theta = omega0 dt is exactly three shears, K(tan(theta/2)/omega0)
+    V(sin theta/omega0) K(tan(theta/2)/omega0) (A. W. Paeth, Graphics
+    Interface '86, 77), phase included in the metaplectic representation
+    (R. G. Littlejohn, Phys. Rep. 138, 193 (1986)).  Exact undriven and
+    under a constant force; a varying drive leaves second order."""
+    theta = omega0 * dt
+    half = math.tan(0.5 * theta) / omega0
+    return StepRow((half, half), (math.sin(theta) / omega0,), _MIDPOINT)
+
+
+def _lagrange(v):
+    """The Lagrange basis through the sample offsets 0, 1/2, 1 of a step, at
+    offsets ``v``, an array (in steps): shape (3, *v.shape)."""
+    return np.stack(((2.0 * v - 1.0) * (v - 1.0), 4.0 * v * (1.0 - v), v * (2.0 * v - 1.0)))
+
+
+def _rotation2(omega0, dt):
+    """Two exact half-turns K(alpha) V(beta) K(2 alpha) V(beta) K(alpha),
+    alpha = tan(theta/4)/omega0, beta = sin(theta/2)/omega0, exact for the
+    quadratic F through f.  The impulses J = beta (F_1, F_2) shift the
+    step's end by M J, M = [R(theta/2) (alpha/m, 1), (alpha/m, 1)]; the
+    exact flow by W f, W the Duhamel weights int_0^dt (sin omega0 (dt - s)
+    / m omega0, cos omega0 (dt - s)) L_k(s) ds of the Lagrange basis.  So
+    J = M^-1 W f (J_1 = J_2 = beta F for a constant F), and the state is
+    off only by the global phase Q: the exact action from the origin,
+    (delta_x delta_p + int F q ds)/2, less the scheme's, to which each
+    drift adds p^2 a / 2m and each kick J x - b m omega0^2 x^2 / 2 (E. J.
+    Heller, J. Chem. Phys. 62, 1544 (1975)).  Computed at m = 1, as W,
+    M^-1 W and the actions scale with 1/m together."""
+    theta = omega0 * dt
+    alpha, beta = math.tan(0.25 * theta) / omega0, math.sin(0.5 * theta) / omega0
+
+    # the scheme from the origin: J_1 at x = 0, a drift to x = 2 alpha J_1,
+    # J_2 there, p = c J_1 + J_2, a drift alpha; the action adds alpha J_1^2,
+    # J_2 x - beta omega0^2 x^2 / 2 and alpha p^2 / 2, a form in (J_1, J_2)
+    c = 1.0 - 2.0 * alpha * beta * omega0**2
+    shift = np.array([[(2.0 + c) * alpha, alpha], [c, 1.0]])  # M
+    action = alpha * np.array([[c + 0.5 * c * c, 1.0 + 0.5 * c], [1.0 + 0.5 * c, 0.5]])
+
+    # the exact flow of F = sum_k f_k L_k from the origin: its shift, and the
+    # path at each node s, int_0^s sin omega0 (s - u) / omega0 F(u) du, by
+    # Gauss-Legendre rules of 16 nodes z and weights w on [0, 1]
+    z, w = np.polynomial.legendre.leggauss(16)
+    z, w = 0.5 * (z + 1.0), 0.5 * w
+    s = dt * z
+    basis = _lagrange(z) * (dt * w)
+    duhamel = np.stack((np.sin(omega0 * (dt - s)) / omega0, np.cos(omega0 * (dt - s)))) @ basis.T
+    u = s[:, None] * z
+    path = np.sum(_lagrange(u / dt) * (s[:, None] * w)
+                  * (np.sin(omega0 * (s[:, None] - u)) / omega0), axis=-1)
+    exact = 0.5 * (np.outer(duhamel[0], duhamel[1]) + basis @ path.T)
+
+    impulses = np.linalg.solve(shift, duhamel)  # M^-1 W, duhamel being W
+    q = exact - impulses.T @ action @ impulses
+    return StepRow((alpha, 2.0 * alpha, alpha), (beta, beta),
+                   tuple(map(tuple, impulses / beta)), 0.5 * (q + q.T))
+
+
+#: each splitting's row of ``StepRow`` at (omega0, dt)
+SPLITTINGS = {"strang": _strang, "rotation": _rotation, "rotation2": _rotation2}
 
 #: the core signatures of numpy's pocketfft gufuncs (numpy >= 2.0)
 _GUFUNC_SIGNATURES = {"fft": "(n),()->(m)", "ifft": "(m),()->(n)"}
@@ -333,46 +388,40 @@ def record_steps(n_steps: int, record_every: int) -> np.ndarray:
     return np.append(np.arange(0, n_steps, record_every), n_steps)
 
 
-def _kick_forces(drive, splitting):
-    """The drive at every kick of every step, shape (n_steps, kicks).
-
-    Kick j of a step takes the drive at offset c0 + ... + c_{j-1}: the
-    time has advanced with the kinetic factors before it.
-    """
-    c, d, _ = SPLITTINGS[splitting]
-    return drive.stage_values([sum(c[:j + 1]) for j in range(len(d))])
+def _samples(drive):
+    """Every step's f = (F(t), F(t + dt/2), F(t + dt)): three (n_steps,) views."""
+    n = drive.grid.n_steps
+    return [drive.values[k:k + 2 * n:2] for k in range(3)]
 
 
-def _factor_times(splitting, omega0, dt):
-    """How long each factor of a step lasts: the kinetic factors' times, and
-    the kicks' times, each kick's weight in its force-gradient term included.
-
-    These are c_j dt and (d_j - 2 g_j (omega0 dt)^2) dt, or for the rows
-    of ``_SHEAR_ROWS`` the shear times tan(c_j theta)/omega0 and
-    sin(d_j theta)/omega0 with theta = omega0 dt.
-    """
-    c, d, g = SPLITTINGS[splitting]
-    if splitting in _SHEAR_ROWS:
-        theta = omega0 * dt
-        return ([math.tan(cj * theta) / omega0 for cj in c],
-                [math.sin(dj * theta) / omega0 for dj in d])
-    return ([cj * dt for cj in c],
-            [(dj - 2.0 * gj * (omega0 * dt) ** 2) * dt for dj, gj in zip(d, g)])
+def _kick_forces(drive, row):
+    """The drive at every kick of every step, shape (n_steps, kicks): each
+    kick's weights on the step's samples, summed in order; a weight of 1
+    reads its sample as it is."""
+    f = _samples(drive)
+    return np.stack([reduce(np.add, [fk if w == 1.0 else w * fk
+                                     for w, fk in zip(weights, f) if w])
+                     for weights in row.weights], axis=1)
 
 
-def _longest_factor(splitting, omega0, dt):
+def _longest_factor(row):
     """Longest |time| of any factor of a step: every kick, every inner
     kinetic factor, and the kinetic factor merged across steps."""
-    kin, kicks = _factor_times(splitting, omega0, dt)
-    return max(abs(a) for a in (*kicks, *kin[1:-1], kin[-1] + kin[0]))
+    kin = row.kinetic
+    return max(abs(a) for a in (*row.kicks, *kin[1:-1], kin[-1] + kin[0]))
 
 
-def _check_step_scale(params, center, forces, longest_step, step):
-    """Heuristic accuracy guard: (longest step factor) * (energy scale) / hbar < 0.1.
+def _guarded_row(drive, splitting, center, step):
+    """The row of ``splitting`` at the table's (omega0, dt) and its drive at
+    every kick, after the heuristic accuracy guard: (longest step factor) *
+    (energy scale) / hbar < 0.1.
 
     The energy scale is that of a packet at ``center`` spanning ten
     ground-state widths, under the largest drive over the sampled kicks.
     """
+    params = drive.params
+    row = SPLITTINGS[splitting](params.omega0, drive.grid.dt)
+    forces, longest_step = _kick_forces(drive, row), _longest_factor(row)
     span = abs(center) + 10.0 * ground_state_width(params)
     f_max = float(np.max(np.abs(forces)))
     scale = (0.5 * params.mass * params.omega0**2 * span**2 + f_max * span
@@ -381,6 +430,7 @@ def _check_step_scale(params, center, forces, longest_step, step):
         raise StepTooCoarse(
             f"sub-step {longest_step:.3g} too coarse for energy scale {scale:.3g} "
             f"at step {step} (need sub-step*scale/hbar < 0.1)")
+    return row, forces
 
 
 def check_path_step(drive: DriveTable, path: np.ndarray, splitting: str):
@@ -392,8 +442,7 @@ def check_path_step(drive: DriveTable, path: np.ndarray, splitting: str):
     the state it starts from.
     """
     step = int(np.argmax(np.abs(path)))
-    _check_step_scale(drive.params, float(path[step]), _kick_forces(drive, splitting),
-                      _longest_factor(splitting, drive.params.omega0, drive.grid.dt), step)
+    _guarded_row(drive, splitting, float(path[step]), step)
 
 
 def _row_factors(psi, drive, splitting):
@@ -402,24 +451,23 @@ def _row_factors(psi, drive, splitting):
 
     Returns the kinetic factors and the kick exponents (the oscillator's,
     and the drive's per unit F), each a list over the step's factors, the
-    drive at every kick, and the global phase of the kicks' F^2 terms.
+    drive at every kick, and the run's global phase: its steps' f^T Q f /
+    (m hbar), 0 for a row without Q.
     """
-    g = SPLITTINGS[splitting][2]
     params = drive.params
-    grid, dt, hb = psi.grid, drive.grid.dt, params.hbar
-    forces = _kick_forces(drive, splitting)
-    _check_step_scale(params, grid.dx * float(np.dot(grid.x, psi.density())), forces,
-                      _longest_factor(splitting, params.omega0, dt), 0)
+    grid, hb = psi.grid, params.hbar
+    row, forces = _guarded_row(drive, splitting,
+                               grid.dx * float(np.dot(grid.x, psi.density())), 0)
 
     x = grid.x
-    # V'^2 = m^2 omega0^4 x^2 - 2 m omega0^2 F x + F^2: the gradient term
-    # rescales each kick's time (exactly d dt where g = 0) and leaves the F^2 phase
-    kin_times, kick_times = _factor_times(splitting, params.omega0, dt)
-    kin = [np.exp(-1j * hb * grid.k**2 * tau / (2.0 * params.mass)) for tau in kin_times]
+    kin = [np.exp(-1j * hb * grid.k**2 * tau / (2.0 * params.mass)) for tau in row.kinetic]
     pot_exp = [-1j * (0.5 * params.mass * params.omega0**2 * x**2) * tau / hb
-               for tau in kick_times]
-    drive_exp = [(1j * tau / hb) * x for tau in kick_times]
-    phase = dt**3 / (hb * params.mass) * float(np.sum(forces**2 * g))
+               for tau in row.kicks]
+    drive_exp = [(1j * tau / hb) * x for tau in row.kicks]
+    phase = 0.0
+    if row.phase is not None:
+        f = np.stack(_samples(drive))
+        phase = float(np.sum(f * (row.phase @ f))) / (hb * params.mass)
     return kin, pot_exp, drive_exp, forces, phase
 
 
@@ -448,30 +496,17 @@ def propagate(drive, psi, time_grid: TimeGrid, record_every: int = 1,
     (bench/spans.py reads its n_steps), or ValueError is raised before
     the first step; ``run_equivalence`` passes the triple's own table.
 
-    Each step of length dt is the factorisation ``SPLITTINGS[splitting] =
-    (c, d, g)``: K(c0 dt) V_1 K(c1 dt) ... V_s K(cs dt), with kinetic
-    factors K(c dt) = exp(-i c dt p^2 / 2m hbar) and kicks
-    V_j = exp(-i (dt/hbar) [d_j V - g_j dt^2 V'^2 / m]), where
-    V = m omega0^2 x^2/2 - F x takes the drive at the kick's offset
-    c0 + ... + c_{j-1}.  The kinetic factors that meet at a step boundary
-    are merged into one between records.  "strang" (second order) is
-    K(dt/2) V(dt) K(dt/2); "rotation" is K(tan(theta/2)/omega0)
-    V(sin theta/omega0) K(tan(theta/2)/omega0), theta = omega0 dt, exact
-    for the undriven oscillator and under a constant force, and second
-    order under a varying one; "gradient4" is Chin's force-gradient
-    scheme 4B (fourth order, two kicks, all coefficients positive).  Every
-    factor's time comes from ``_factor_times``.  Norm is preserved up to
-    roundoff either way.
-
-    Each kick is one exponential of the full potential (Feit, Fleck and
-    Steiger, J. Comput. Phys. 47, 412 (1982)); without a drive in any
-    state it is a fixed factor.  Expanded in F, the gradient term only
-    rescales the kick's weight to d_j - 2 g_j (omega0 dt)^2 and adds a
-    global phase g_j dt^3 F^2 / hbar m, which is summed over the run and
-    applied to each final state.  A record step shares one forward FFT
+    Each step of length dt is the ``StepRow`` ``SPLITTINGS[splitting](omega0,
+    dt)``: its kinetic factors and kicks, every kick's drive weighted from
+    the step's table samples, and its phase form, whose phase is summed
+    over the run and applied to each final state.  The kinetic factors that
+    meet at a step boundary are merged into one between records.  Norm is
+    preserved up to roundoff.  Each kick is one exponential of the full
+    potential (Feit, Fleck and Steiger, J. Comput. Phys. 47, 412 (1982));
+    without a drive in any state it is a fixed factor.  A record step shares one forward FFT
     between the recorded state and the state that continues the run, so a
-    run takes 2 * len(d) * n_steps + records transforms of the (B, N)
-    stack.  Every transform goes through the module's pair
+    run takes 2 * s * n_steps + records transforms of the (B, N) stack,
+    s kicks a step.  Every transform goes through the module's pair
     ``_fft``/``_ifft``: numpy's pocketfft gufuncs called directly, or
     ``np.fft.fft``/``ifft`` where those are missing or differ
     (``_resolve_transforms``).  Both give the same result bit for bit.
@@ -650,7 +685,7 @@ def propagate(drive, psi, time_grid: TimeGrid, record_every: int = 1,
 
     cur = stags[(n - 1) % depth].copy()
     for b, phase in enumerate(phases):
-        if phase:  # the kicks' F^2 terms
+        if phase:  # the row's phase form
             cur[b] *= np.exp(1j * phase)
     result = PropagationRecord(psi=StateStack(grids, cur), steps=rec_steps,
                                times=times, mean_x=mean_x, mean_x2=mean_x2, norms=norms)

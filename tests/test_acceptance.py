@@ -115,9 +115,10 @@ def test_criterion_8b_split_step_second_order(natural):
                   "dt-halving", ok, f"slope={order:.3f}")
 
 
-def test_criterion_8f_gradient4_split_step_at_roundoff(natural):
-    # Under the step guard the fourth-order error already sits at the
-    # roundoff floor (growing slowly with n), so no slope is fitted.
+def test_criterion_8f_rotation2_split_step_at_roundoff(natural):
+    # The two exact half-turns follow the exact flow of the drive's
+    # quadratic through each step's samples, so the error sits at the
+    # roundoff floor (growing slowly with n), and no slope is fitted.
     field = pl.FieldModel.monochromatic(1.0, 0.5)
     errors = {}
     for n in (5000, 10000, 20000):
@@ -126,13 +127,13 @@ def test_criterion_8f_gradient4_split_step_at_roundoff(natural):
         pgrid = pl.PositionGrid.for_state(natural, float(np.max(np.abs(traj.q))))
         rec = pl.propagate(pl.build_drive_table(natural, field, tg),
                            pl.ground_state(natural, pgrid), tg, record_every=n // 100,
-                           splitting="gradient4")
+                           splitting="rotation2")
         exact = 0.5 + (4.0 / 3.0) ** 2 * (np.cos(0.5 * rec.times)
                                           - np.cos(rec.times)) ** 2
         errors[n] = float(np.max(np.abs(rec.mean_x2 - exact)))
     ok = all(e < 1e-10 for e in errors.values())
     detail = " ".join(f"n={n}:{e:.1e}" for n, e in errors.items())
-    verdict("8f", "gradient4 split-step <x^2> within 1e-10 of the closed form "
+    verdict("8f", "rotation2 split-step <x^2> within 1e-10 of the closed form "
                   "on the 8b setup", ok, detail)
 
 

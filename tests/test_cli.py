@@ -231,15 +231,20 @@ def test_sweep_dt_axis_reports_orders(tmp_path, capsys):
 
 
 def test_sweep_dt_axis_fits_no_order_to_norm_roundoff(tmp_path, capsys):
-    # the free golden's rotation step has no time error: its endpoint
-    # differences (~1e-12) clear the sqrt(n) ulp floor but sit below the
-    # 2 (eps_1 + eps_2) <x^2> that the runs' norm drifts put on the moment
-    out = tmp_path / "free"
-    code = cli.main(["sweep", "free", "--axis", "dt", "--values", "0.003,0.0015,0.00075",
-                     "--out", str(out)])
-    assert code == 0
-    text = capsys.readouterr().out
-    assert "split-step" not in text, text
+    # free's rotation step has no time error, nor has driven's under two
+    # exact half-turns: their endpoint differences (~1e-12) clear the
+    # sqrt(n) ulp floor but sit below the 2 (eps_1 + eps_2) <x^2> that the
+    # runs' norm drifts put on the moment (0.2 to 0.7 of it)
+    driven = (cli.BUNDLED_DIR / "driven.cfg").read_text()
+    driven = write(tmp_path, driven.replace("[time]\n", "[time]\nsplitting = rotation2\n"),
+                   name="driven_rotation2.cfg")
+    for config in ("free", str(driven)):
+        out = tmp_path / Path(config).stem
+        code = cli.main(["sweep", config, "--axis", "dt", "--values", "0.003,0.0015,0.00075",
+                         "--out", str(out)])
+        assert code == 0
+        text = capsys.readouterr().out
+        assert "split-step" not in text, text
     # the norm drift the fit reads is no summary column
     header = (out / "sweep_summary.csv").read_text().splitlines()[0]
     assert header.split(",") == ["axis", "value", *(h for h, _ in serialize.SUMMARY_COLUMNS)]
@@ -440,6 +445,7 @@ def one_error_line(capsys):
     ("fock", "oracle_steps_per_period", "0"),
     ("time", "splitting", "rk2"),
     ("time", "splitting", "yoshida4"),  # retired
+    ("time", "splitting", "gradient4"),  # retired
     ("time", "n_steps", "1e400"),
     ("time", "n_steps", "10"),  # a dt too coarse for the field
     ("grid", "n_points", "inf"),

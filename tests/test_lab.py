@@ -281,12 +281,12 @@ def test_damped_scenario_recovers_free_value():
     assert report.x2_s[0] == pytest.approx(1.5, abs=1e-9)
 
 
-def test_damped_gradient4_run_agrees_with_heisenberg_and_classical():
-    # the damping force at gradient4's off-lattice kick times comes from
-    # Hermite interpolation of the reference velocity
+def test_damped_rotation2_run_agrees_with_heisenberg_and_classical():
+    # its two kicks take the damping force from the table's three samples
+    # of each step, which hold the reference velocity
     golden = pl.golden_scenarios(fock_oracle=False)["damped"]
     params = golden.params
-    s = replace(golden, name="damped-gradient4", splitting="gradient4",
+    s = replace(golden, name="damped-rotation2", splitting="rotation2",
                 time_grid=TimeGrid(0.0, 2.0 * params.period, 8000), record_every=20)
     report = pl.run_equivalence(s)
     assert report.equivalence_pass
